@@ -101,9 +101,9 @@ double detailed_pair_cycles(const PairDecision& d, const Tile& x, const Tile& y,
 }
 
 // ---------------------------------------------------------------------------
-// Per-kernel execution phases, shared verbatim between the solo execute()
-// and the fused execute_batch() below. Any change to one path IS a change
-// to the other — that is what keeps batched results bit-identical to solo.
+// Per-kernel execution phases of execute_batch() below. Every member runs
+// the same phases in the same order whether its batch holds one member or
+// many, which is what keeps batched results bit-identical to a run alone.
 // ---------------------------------------------------------------------------
 
 /// Everything one kernel instance carries between phases.
@@ -155,7 +155,7 @@ void finish_functional(KernelPass& kp,
 /// per-request accumulators. Deliberately NOT fused across batch members:
 /// parallel_reduce's chunk-combine shape depends on the element count, so
 /// fusing reductions of different members would change the combine order
-/// and break bit-identity with solo runs.
+/// and break bit-identity with a batch of one.
 void price_and_schedule(const CompiledProgram& prog, const RuntimeOptions& opt,
                         KernelPass& kp, ComputeCoreModel& core, SoftProcessor& soft,
                         ExecutionResult& result) {
@@ -347,56 +347,9 @@ void finalize_result(const SimConfig& cfg, const RuntimeOptions& opt,
   if (!node_outputs.empty()) result.output = std::move(node_outputs.back());
 }
 
-}  // namespace
-
-ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
-                        const CancellationToken& token) {
-  const SimConfig& cfg = prog.config;
-  ComputeCoreModel core(cfg);
-  SoftProcessor soft(cfg);
-  const double thr = cfg.sparse_storage_threshold;
-
-  ExecutionResult result;
-  result.kernels.reserve(prog.kernels.size());
-  std::vector<PartitionedMatrix> node_outputs(prog.kernels.size());
-
-  for (std::size_t l = 0; l < prog.kernels.size(); ++l) {
-    const KernelIR& ir = prog.kernels[l];
-    // Kernel boundary: the cooperative abort point (never mid-kernel, so
-    // a run that finishes is bit-identical to an uncancellable one) and
-    // the chaos layer's transient-execution-failure site.
-    token.check();
-    if (fault_point(kFaultRuntimeKernelFault))
-      throw FaultInjectedError("injected kernel fault (node " +
-                               std::to_string(ir.node_id) + ")");
-    KernelPass kp = begin_kernel(prog, l, node_outputs);
-
-    // ---- Functional execution (work-stealing host pool; each task owns
-    // its output tile, so parallel writes never alias, and the chunks of
-    // this one loop fan out across every idle worker — concurrent
-    // requests share the same pool without serializing). ------------------
-    if (opt.functional) {
-      parallel_for(
-          static_cast<std::int64_t>(kp.tasks.size()),
-          [&](std::int64_t ti) {
-            run_functional_task(kp, kp.tasks[static_cast<std::size_t>(ti)], thr);
-          },
-          opt.host_threads);
-      finish_functional(kp, node_outputs, thr);
-    }
-
-    price_and_schedule(prog, opt, kp, core, soft, result);
-    node_outputs[static_cast<std::size_t>(ir.node_id)] = std::move(kp.out);
-  }
-
-  finalize_result(cfg, opt, node_outputs, result);
-  return result;
-}
-
-namespace {
-
-/// Per-member running state of a fused batch — exactly the locals of one
-/// solo execute() call, boxed so members advance in lockstep.
+/// Per-member running state of a batch: the member's program, options,
+/// token, simulator models and accumulators, boxed so that members
+/// advance through the kernels in lockstep.
 struct MemberRun {
   const CompiledProgram* prog;
   const RuntimeOptions* opt;
@@ -462,16 +415,11 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
   bx.members.resize(members.size());
   if (members.empty()) return bx;
 
-  // Non-batchable group (caller mixed plan shapes): solo per member.
+  // Non-batchable group (caller mixed plan shapes): each member runs as a
+  // batch of one.
   if (!batch_compatible(members)) {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      try {
-        bx.members[m].result =
-            execute(*members[m].prog, members[m].opt, members[m].token);
-      } catch (...) {
-        bx.members[m].error = std::current_exception();
-      }
-    }
+    for (std::size_t m = 0; m < members.size(); ++m)
+      bx.members[m] = std::move(execute_batch({members[m]}).members[0]);
     return bx;
   }
 
@@ -483,11 +431,12 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
   bx.total_kernels = static_cast<std::int64_t>(num_kernels);
 
   for (std::size_t l = 0; l < num_kernels; ++l) {
-    // Kernel boundary, per member in index order: each member's token
-    // check and runtime.kernel_fault draw happen exactly as in its solo
-    // run, so an abort or injected fault drops THAT member from the batch
-    // and its batchmates continue. Member order is fixed, which keeps
-    // chaos outcomes seed-reproducible for a given batch composition.
+    // Kernel boundary, per member in index order: the cooperative abort
+    // point (never mid-kernel, so a run that finishes is bit-identical to
+    // an uncancellable one) and the chaos layer's transient-execution-
+    // failure site. An abort or injected fault drops THAT member from the
+    // batch and its batchmates continue. Member order is fixed, which
+    // keeps chaos outcomes seed-reproducible for a given batch composition.
     std::vector<KernelPass> passes(runs.size());
     std::vector<std::size_t> live;
     for (std::size_t m = 0; m < runs.size(); ++m) {
@@ -533,8 +482,8 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
             [&](std::int64_t ti) {
               const Task& t = tasks0[static_cast<std::size_t>(ti)];
               // One accumulator per member; each member's accumulation
-              // order over j (and within each tile product) is exactly its
-              // solo order — only the X tile streams are shared.
+              // order over j (and within each tile product) is exactly the
+              // order of a run alone — only the X tile streams are shared.
               std::vector<DenseMatrix> accs;
               accs.reserve(live.size());
               for (std::size_t m : live)
@@ -556,8 +505,9 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
             },
             threads);
       } else {
-        // Flat fusion: every live functional member's tasks in one
-        // parallel loop. Task math is run_functional_task — the solo body.
+        // Flat fusion: every live functional member's tasks in one loop on
+        // the work-stealing pool. Each task owns its output tile, so
+        // parallel writes never alias.
         std::vector<std::pair<std::size_t, std::size_t>> flat;
         for (std::size_t m : live) {
           if (!runs[m].opt->functional) continue;
@@ -604,6 +554,14 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
     }
   }
   return bx;
+}
+
+ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
+                        const CancellationToken& token) {
+  BatchMemberResult r =
+      std::move(execute_batch({BatchMember{&prog, opt, token}}).members[0]);
+  if (r.error) std::rethrow_exception(r.error);
+  return std::move(r.result);
 }
 
 }  // namespace dynasparse

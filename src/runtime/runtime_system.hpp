@@ -16,7 +16,7 @@
 // The K2P work for kernel l+1 overlaps kernel l's execution (paper
 // Section VI-B); only the non-overlappable portion extends latency.
 //
-// Re-entrancy contract: execute() never mutates the CompiledProgram or
+// Re-entrancy contract: execution never mutates the CompiledProgram or
 // any other shared state — all accumulation happens in per-call locals
 // (node outputs, SoftProcessor, stats), and the only mutation reachable
 // through the const program is Tile's lazily materialized view cache,
@@ -108,7 +108,8 @@ struct ExecutionResult {
   std::vector<KernelTimeline> timeline;
 };
 
-/// Execute `prog`. `token` (optional; see util/cancellation.hpp) is
+/// Execute `prog` as a one-member execute_batch(), rethrowing that
+/// member's error. `token` (optional; see util/cancellation.hpp) is
 /// checked at every kernel boundary: a cancelled or deadline-expired
 /// request aborts with the typed error between kernels, never mid-kernel
 /// — so an execution that *completes* is bit-identical to an
@@ -119,11 +120,11 @@ struct ExecutionResult {
 ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
                         const CancellationToken& token = {});
 
-/// One member of a fused cross-request batch. Members are grouped by the
-/// service on equal plan_signature + dataset_signature, so their programs
-/// share partition geometry and (when the tile pool is on) pointer-equal
-/// adjacency operands — but each member keeps its own program (weights
-/// may differ), options, and cancellation token.
+/// One member of a batch. The service groups members on equal
+/// plan_signature + dataset_fingerprint (service/batch_scheduler.hpp), so
+/// their programs share partition geometry and (when the tile pool is on)
+/// pointer-equal adjacency operands — but each member keeps its own
+/// program (weights may differ), options, and cancellation token.
 struct BatchMember {
   const CompiledProgram* prog = nullptr;
   RuntimeOptions opt;
@@ -131,8 +132,8 @@ struct BatchMember {
 };
 
 /// Per-member outcome of execute_batch: `error` null means `result` is a
-/// completed execution bit-identical to what solo execute() would have
-/// produced; `error` set means this member aborted or failed (the raw
+/// completed execution bit-identical to running the member alone;
+/// `error` set means this member aborted or failed (the raw
 /// exception — CancelledError / DeadlineExceededError /
 /// FaultInjectedError / anything else — for the caller to classify).
 struct BatchMemberResult {
@@ -151,21 +152,22 @@ struct BatchExecution {
   std::int64_t total_kernels = 0;
 };
 
-/// Execute several plan-compatible programs as one fused batch.
+/// Execute one or more programs as one fused batch — the runtime's only
+/// per-kernel loop.
 ///
 /// Determinism contract: every member's completed ExecutionResult is
-/// BIT-IDENTICAL to solo execute() with the same (prog, opt) — fusion
+/// BIT-IDENTICAL to a batch of one with the same (prog, opt) — fusion
 /// only restructures scheduling (which tasks run concurrently), never a
 /// member's per-element FP operation sequence, its primitive dispatch,
-/// or its pricing reduction shape. Per-member isolation mirrors solo
-/// semantics at every kernel boundary, in member order: the member's
-/// token is checked and the runtime.kernel_fault chaos site is drawn
-/// once per member, so a cancelled/expired/faulted member drops out of
-/// the batch alone and its batchmates continue unperturbed. An exception
-/// escaping the fused functional sweep itself (e.g. allocation failure —
-/// not attributable to one member) fails every still-live member.
+/// or its pricing reduction shape. Members are isolated at every kernel
+/// boundary, in member order: the member's token is checked and the
+/// runtime.kernel_fault chaos site is drawn once per member, so a
+/// cancelled/expired/faulted member drops out of the batch alone and its
+/// batchmates continue unperturbed. An exception escaping the fused
+/// functional sweep itself (e.g. allocation failure — not attributable
+/// to one member) fails every still-live member.
 ///
-/// Falls back to per-member solo execution when the programs are not
+/// Runs each member as a batch of one when the programs are not
 /// structurally batchable (different kernel sequences or partition
 /// geometry) — callers may pass any group; compatible grouping only
 /// affects speed, never correctness.

@@ -257,47 +257,6 @@ void InferenceService::shutdown() {
   }
 }
 
-InferenceReport InferenceService::execute_request(const ServiceRequest& request,
-                                                  const CancellationToken& token) {
-  // Per-request intra-op budget: the service-wide knob and the request's
-  // own host_threads compose (tighter wins; 0 = uncapped). The scope
-  // covers compilation too — the partition planner's parallel loops take
-  // no thread argument — and clamps the runtime hot loops without turning
-  // the cap into an explicit thread request (which would oversubscribe
-  // the pool whenever the cap exceeds the hardware width).
-  ParallelMaxThreadsScope budget(
-      combine_caps(options_.intra_op_threads, request.options.runtime.host_threads));
-  token.check();
-  if (!result_cache_.enabled()) {
-    std::shared_ptr<const CompiledProgram> prog = cache_.get_or_compile(
-        *request.model, *request.dataset, request.options.config, token);
-    token.check();  // compile/execute boundary
-    InferenceReport rep = run_compiled(*prog, request.options.runtime, token);
-    rep.dataset_tag = request.dataset->spec.tag;
-    return rep;
-  }
-  // Memoized path: hash the compile inputs once (the compilation cache
-  // reuses the key below instead of rehashing) and extend it with the
-  // runtime-options signature. A hit returns the stored report without
-  // compiling or executing — sound because equal ResultKeys imply
-  // bit-identical deterministic report fields (determinism contract).
-  // The factory runs under THIS request's token; if it aborts, joined
-  // same-key requests retry under their own tokens (keyed_future_cache
-  // hand-off) instead of inheriting the abort.
-  const CompileKey ckey = make_compile_key(*request.model, *request.dataset,
-                                           request.options.config);
-  return result_cache_.get_or_run(
-      make_result_key(ckey, request.options.runtime), [&] {
-        std::shared_ptr<const CompiledProgram> prog = cache_.get_or_compile(
-            ckey, *request.model, *request.dataset, request.options.config,
-            token);
-        token.check();  // compile/execute boundary
-        InferenceReport rep = run_compiled(*prog, request.options.runtime, token);
-        rep.dataset_tag = request.dataset->spec.tag;
-        return rep;
-      });
-}
-
 void InferenceService::ensure_workers() {
   std::lock_guard<OrderedMutex> lk(workers_mu_);
   {
@@ -362,118 +321,126 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
   }
   if (notify) slots_cv_.notify_all();
   if (runnable.empty()) return;
-  if (runnable.size() == 1) {
-    // Degenerate batch: run the pre-batching solo path, bit for bit.
-    run_job(*runnable.front().job, runnable.front().token);
-    return;
-  }
-  run_fused(runnable);
+  std::vector<MemberOutcome> outcomes = execute_members(runnable);
+  for (std::size_t i = 0; i < runnable.size(); ++i)
+    publish_result(runnable[i].job->id, std::move(outcomes[i].report),
+                   std::move(outcomes[i].error), runnable[i].token);
 }
 
-void InferenceService::run_job(Job& job, const CancellationToken& token) {
-  InferenceReport report;
-  std::exception_ptr raw;
-  try {
-    report = execute_request(job.request, token);
-  } catch (...) {
-    raw = std::current_exception();
-  }
-  publish_result(job.id, std::move(report), std::move(raw), token);
-}
-
-void InferenceService::run_fused(std::vector<RunnableMember>& members) {
-  // One intra-op scope covers the whole batch. A member's own
-  // host_threads cap cannot be honored for the *fused* sweeps (one loop
-  // serves everyone), but execute_batch still applies the tightest
-  // member cap there and each member's pricing loops run under its own
-  // cap — and thread counts never affect results, only wall clock.
-  ParallelMaxThreadsScope scope(options_.intra_op_threads);
+std::vector<InferenceService::MemberOutcome> InferenceService::execute_members(
+    const std::vector<RunnableMember>& members) {
   const std::size_t n = members.size();
-  struct Prep {
-    std::shared_ptr<const CompiledProgram> prog;  // compiled, to execute
-    std::shared_ptr<const InferenceReport> memo;  // result-cache peek hit
-    std::optional<ResultKey> rkey;                // set when memoizing
-    std::exception_ptr error;                     // member-isolated failure
-  };
-  // Per-member compile / memoization peek, failures isolated: a member
-  // whose compile throws (or whose token fired) drops out with its own
-  // error; its batchmates proceed untouched.
-  std::vector<Prep> preps(n);
+  std::vector<MemberOutcome> out(n);
+  // pending[i]: member i has no outcome yet. Cleared when it fails before
+  // its claim, or when a group run parks its outcome for the claim.
+  std::vector<char> pending(n, 1);
+  std::vector<std::optional<ResultKey>> rkeys(n);  // set when memoizing
+  // Token check, then key hashing, per member. The ResultKey extends the
+  // compile key with the runtime-options signature; the compilation cache
+  // reuses its compile half instead of rehashing. Equal ResultKeys imply
+  // bit-identical deterministic report fields (determinism contract), so
+  // a hit is served without compiling or executing.
   for (std::size_t i = 0; i < n; ++i) {
     const ServiceRequest& req = members[i].job->request;
     try {
       members[i].token.check();
-      if (result_cache_.enabled()) {
-        const CompileKey ckey =
-            make_compile_key(*req.model, *req.dataset, req.options.config);
-        preps[i].rkey = make_result_key(ckey, req.options.runtime);
-        // A ready memoized report short-circuits this member out of the
-        // fused execution entirely (same outcome as the solo hit path).
-        if ((preps[i].memo = result_cache_.peek(*preps[i].rkey))) continue;
-        preps[i].prog = cache_.get_or_compile(ckey, *req.model, *req.dataset,
-                                              req.options.config,
-                                              members[i].token);
-      } else {
-        preps[i].prog =
-            cache_.get_or_compile(*req.model, *req.dataset,
-                                  req.options.config, members[i].token);
-      }
-      members[i].token.check();  // compile/execute boundary (solo parity)
+      if (result_cache_.enabled())
+        rkeys[i] = make_result_key(
+            make_compile_key(*req.model, *req.dataset, req.options.config),
+            req.options.runtime);
     } catch (...) {
-      preps[i].error = std::current_exception();
+      out[i].error = std::current_exception();
+      pending[i] = 0;
     }
   }
-  // Fused multi-feature execution over the members that still need it.
-  std::vector<std::size_t> exec_member;  // members index per batch entry
-  std::vector<BatchMember> batch;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (preps[i].error || preps[i].memo) continue;
-    exec_member.push_back(i);
-    batch.push_back(BatchMember{preps[i].prog.get(),
-                                members[i].job->request.options.runtime,
-                                members[i].token});
-  }
-  BatchExecution bx;
-  if (!batch.empty()) bx = execute_batch(batch);
-  if (bx.fused_kernels > 0) {
-    std::lock_guard<OrderedMutex> lk(slots_mu_);
-    batch_.fused_kernels += bx.fused_kernels;
-  }
-  std::vector<std::ptrdiff_t> batch_index(n, -1);
-  for (std::size_t j = 0; j < exec_member.size(); ++j) {
-    batch_index[exec_member[j]] = static_cast<std::ptrdiff_t>(j);
-    if (bx.members[j].error)
-      preps[exec_member[j]].error = std::move(bx.members[j].error);
-  }
-  // Publish every member in arrival order through the same terminal-state
-  // path the solo worker uses.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServiceRequest& req = members[i].job->request;
-    InferenceReport rep;
-    if (!preps[i].error) {
+
+  // Compile and execute member `first` together with every later member
+  // that has no outcome yet and no memoized report ready (those claim a
+  // hit instead), as ONE execute_batch call; park all their outcomes.
+  // Failures stay member-isolated: a member whose compile throws (or
+  // whose token fired) drops out with its own error.
+  auto run_group = [&](std::size_t first) {
+    std::vector<std::size_t> group;
+    // One intra-op scope per group: the service-wide cap combined with the
+    // tightest member host_threads (thread counts never change results).
+    // It covers compilation too — the partition planner's parallel loops
+    // take no thread argument — and clamps the runtime's loops without
+    // turning the cap into an explicit thread request, which would
+    // oversubscribe the pool whenever the cap exceeds the hardware width.
+    int cap = options_.intra_op_threads;
+    for (std::size_t j = first; j < n; ++j) {
+      if (!pending[j]) continue;
+      if (j > first && rkeys[j] && result_cache_.peek(*rkeys[j])) continue;
+      group.push_back(j);
+      out[j] = MemberOutcome{};
+      cap = combine_caps(
+          cap, members[j].job->request.options.runtime.host_threads);
+    }
+    ParallelMaxThreadsScope scope(cap);
+    std::vector<std::shared_ptr<const CompiledProgram>> progs;
+    std::vector<BatchMember> batch;
+    std::vector<std::size_t> batch_member;  // members index per batch entry
+    for (std::size_t j : group) {
+      const ServiceRequest& req = members[j].job->request;
+      const CancellationToken& token = members[j].token;
       try {
-        if (preps[i].memo) {
-          rep = *preps[i].memo;
-        } else {
-          rep = assemble_compiled_report(
-              *preps[i].prog, req.options.runtime,
-              std::move(bx.members[static_cast<std::size_t>(batch_index[i])]
-                            .result));
-          rep.dataset_tag = req.dataset->spec.tag;
-          // Memoize the fused result exactly as a solo run would have;
-          // if a racing solo run of the same key got there first, the
-          // stored report wins — bit-identical either way.
-          if (preps[i].rkey)
-            rep = result_cache_.get_or_run(*preps[i].rkey,
-                                           [&rep] { return rep; });
-        }
+        // Without memoization the key-less lookup skips the content hash
+        // when the compilation cache is off too.
+        progs.push_back(
+            rkeys[j]
+                ? cache_.get_or_compile(rkeys[j]->compile, *req.model,
+                                        *req.dataset, req.options.config, token)
+                : cache_.get_or_compile(*req.model, *req.dataset,
+                                        req.options.config, token));
+        token.check();  // compile/execute boundary
+        batch.push_back(
+            BatchMember{progs.back().get(), req.options.runtime, token});
+        batch_member.push_back(j);
       } catch (...) {
-        preps[i].error = std::current_exception();
+        out[j].error = std::current_exception();
       }
     }
-    publish_result(members[i].job->id, std::move(rep),
-                   std::move(preps[i].error), members[i].token);
+    BatchExecution bx = execute_batch(batch);
+    if (bx.fused_kernels > 0) {
+      std::lock_guard<OrderedMutex> lk(slots_mu_);
+      batch_.fused_kernels += bx.fused_kernels;
+    }
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      MemberOutcome& o = out[batch_member[b]];
+      if (bx.members[b].error) {
+        o.error = std::move(bx.members[b].error);
+        continue;
+      }
+      const ServiceRequest& req = members[batch_member[b]].job->request;
+      o.report = assemble_compiled_report(*batch[b].prog, req.options.runtime,
+                                          std::move(bx.members[b].result));
+      o.report.dataset_tag = req.dataset->spec.tag;
+    }
+    for (std::size_t j : group) pending[j] = 0;
+  };
+
+  // Claims in arrival order. The first claim that misses runs a group;
+  // the group's later members find their outcome parked and store it
+  // through their own claim. A ready report is a counted hit. The fill
+  // runs under the claiming member's token: if it aborts, same-key
+  // requests joined on other threads retry under their own tokens
+  // (ResultCache::get_or_run's in-flight dedup and hand-off).
+  auto claim = [&](std::size_t i) {
+    if (pending[i]) run_group(i);
+    if (out[i].error) std::rethrow_exception(out[i].error);
+    return std::move(out[i].report);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      out[i].report = rkeys[i] ? result_cache_.get_or_run(
+                                     *rkeys[i], [&] { return claim(i); })
+                               : claim(i);
+      out[i].error = nullptr;
+    } catch (...) {
+      out[i].error = std::current_exception();
+    }
   }
+  return out;
 }
 
 void InferenceService::publish_result(RequestId id, InferenceReport&& report,
@@ -835,7 +802,11 @@ std::vector<InferenceReport> InferenceService::run_batch(
 
 InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& ds,
                                           const EngineOptions& options) {
-  return execute_request(ServiceRequest::borrow(model, ds, options));
+  // A slot-less job (id 0 is never issued), executed as a batch of one.
+  const Job job{0, ServiceRequest::borrow(model, ds, options)};
+  MemberOutcome out = std::move(execute_members({RunnableMember{&job, {}}})[0]);
+  if (out.error) std::rethrow_exception(out.error);
+  return std::move(out.report);
 }
 
 InferenceService& InferenceService::process_default() {

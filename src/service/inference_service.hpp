@@ -25,16 +25,16 @@
 // parallelism compose: a lone big request spreads across every idle core
 // while small requests overlap on the same worker set, instead of each
 // request being pinned to one thread. ServiceOptions::intra_op_threads
-// bounds one request's fan-out: execute_request installs a
-// ParallelMaxThreadsScope (combining it with the request's own
-// RuntimeOptions::host_threads, tighter bound wins) that covers compile +
-// execute, clamping what every parallel call under it — including
-// runtime_system.cpp's hot loops — resolves its thread count to; 1
-// restores the serial-per-worker behavior this service shipped with. Reports are bit-identical to
-// sequential run_inference for the deterministic fields (everything except
-// the wall-clock CompileStats, which a cache hit reuses from the original
-// compile) because every parallel primitive is thread-count-invariant by
-// construction.
+// bounds one request's fan-out: each execution group installs a
+// ParallelMaxThreadsScope (combining it with the tightest
+// RuntimeOptions::host_threads of the group's requests) that covers
+// compile + execute, clamping what every parallel call under it —
+// including runtime_system.cpp's hot loops — resolves its thread count
+// to; 1 restores the serial-per-worker behavior this service shipped
+// with. Reports are bit-identical to sequential run_inference for the
+// deterministic fields (everything except the wall-clock CompileStats,
+// which a cache hit reuses from the original compile) because every
+// parallel primitive is thread-count-invariant by construction.
 //
 // Result memoization (ServiceOptions::result_cache_capacity): the whole
 // pipeline is deterministic, so a request whose ResultKey — compile
@@ -47,16 +47,18 @@
 // Continuous batching (ServiceOptions::batch_window_us /
 // max_batch_size): workers dequeue through a BatchScheduler
 // (service/batch_scheduler.hpp) that groups queued requests by
-// (plan_signature, dataset_signature) under a collect-for-a-window-or-K
+// (plan_signature, dataset_fingerprint) under a collect-for-a-window-or-K
 // policy and executes each group as ONE fused multi-feature batch
 // (RuntimeSystem::execute_batch): the group's shared pooled adjacency
 // operands stream once per kernel for every member instead of once per
 // request. Fusion is invisible in results — each member's report is
-// bit-identical to solo execution, deterministic_fingerprint() included —
-// and invisible to the robustness surface: cancellation, deadlines and
-// injected faults fail exactly the affected member, never a batchmate.
-// Both knobs 0 (the default) keeps the pre-batching one-job-at-a-time
-// behavior. batch_stats() reports formation and fusion counters.
+// bit-identical to running it alone, deterministic_fingerprint()
+// included — and invisible to the robustness surface: cancellation,
+// deadlines and injected faults fail exactly the affected member, never a
+// batchmate. Both knobs 0 (the default) release one job at a time. Every
+// request, batched or not and run_one() included, takes the same
+// execution path: a lone request is a batch of one. batch_stats()
+// reports formation and fusion counters.
 //
 // Admission control (ServiceOptions::max_queue_depth + admission): a
 // bounded queue gives submit() backpressure under overload — block the
@@ -328,9 +330,9 @@ struct ServiceOptions {
   /// group of queued requests open this long (from its first member) and
   /// execute the group as one fused multi-feature batch — shared pooled
   /// adjacency operands stream once for the whole group, with per-member
-  /// reports bit-identical to solo execution. 0 (default) with
+  /// reports bit-identical to running alone. 0 (default) with
   /// max_batch_size <= 1 disables batching entirely: workers pop one job
-  /// at a time exactly as before. Negative values are rejected.
+  /// at a time, each a batch of one. Negative values are rejected.
   /// DYNASPARSE_BATCH_WINDOW_US supplies this for the process default.
   std::int64_t batch_window_us = 0;
   /// Release a collecting group as soon as it reaches this many members
@@ -476,7 +478,7 @@ class InferenceService {
     std::exception_ptr error;
     std::chrono::steady_clock::time_point submitted, started, finished;
     /// Per-request abort handle: cancel()/shutdown() fire it; its token
-    /// (deadline-carrying when one applies) rides into execute_request.
+    /// (deadline-carrying when one applies) rides into execute_members.
     CancellationSource source;
     /// True when robust_.cancelled counted this slot. A failed-push
     /// submit path that erases (or overwrites) a shutdown-cancelled slot
@@ -488,30 +490,33 @@ class InferenceService {
   /// One batch member after the dequeue-time slot recheck: the job plus
   /// the token snapshot taken while marking its slot kRunning.
   struct RunnableMember {
-    Job* job = nullptr;
+    const Job* job = nullptr;
     CancellationToken token;
   };
+  /// A member's terminal result: its report, or the raw exception.
+  struct MemberOutcome {
+    InferenceReport report;
+    std::exception_ptr error;
+  };
 
-  InferenceReport execute_request(const ServiceRequest& request,
-                                  const CancellationToken& token = {});
   void ensure_workers();
   void worker_main();
   /// Process one BatchScheduler release: per-member stale/expired slot
-  /// recheck, then the solo path for a single runnable member (exactly
-  /// the pre-batching behavior) or the fused path for several.
+  /// recheck, execute_members over the runnable members, publication.
   void process_batch(std::vector<Job>& jobs);
-  /// Solo execution + publication of one runnable member (the
-  /// pre-batching worker body after the dequeue recheck).
-  void run_job(Job& job, const CancellationToken& token);
-  /// Fused execution of >= 2 runnable members: per-member compile /
-  /// result-cache peek, RuntimeSystem::execute_batch over the misses,
-  /// per-member report assembly and publication. Member failures
-  /// (cancel, deadline, chaos fault, compile error) are isolated.
-  void run_fused(std::vector<RunnableMember>& members);
-  /// Terminal-state publication shared by the solo and fused paths:
-  /// classify `raw` into the wait() error taxonomy (or discard a
-  /// completed-but-cancelled result), update the slot + robustness stats
-  /// under slots_mu_, wake waiters.
+  /// The service's one execution path, for a batch of any size (a lone
+  /// request is a batch of one): per member, token check and key hashing;
+  /// then result-cache claims in arrival order, where the first miss
+  /// compiles and runs every member still needing it through ONE
+  /// RuntimeSystem::execute_batch call. Member failures (cancel,
+  /// deadline, chaos fault, compile error) are isolated. Outcomes come
+  /// back in member order, errors raw (unclassified).
+  std::vector<MemberOutcome> execute_members(
+      const std::vector<RunnableMember>& members);
+  /// Terminal-state publication of one member outcome: classify `raw`
+  /// into the wait() error taxonomy (or discard a completed-but-cancelled
+  /// result), update the slot + robustness stats under slots_mu_, wake
+  /// waiters.
   void publish_result(RequestId id, InferenceReport&& report,
                       std::exception_ptr raw, const CancellationToken& token);
   /// Create a kQueued slot under slots_mu_ (throws ShutdownError

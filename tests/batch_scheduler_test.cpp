@@ -273,6 +273,41 @@ TEST(BatchServiceFusion, SingleRequestDegeneratePathMatchesSolo) {
   svc.shutdown();
 }
 
+TEST(BatchServiceFusion, MemoizedRepeatInsideAFusedBatchCountsAHit) {
+  // Memoization and batching both on: a request repeated inside a later
+  // fused batch must be served as a counted result-cache hit, exactly as
+  // it would be with batching off.
+  std::vector<ServiceRequest> reqs =
+      compatible_requests(3, GnnModelKind::kGcn, 31, "MH");
+  std::vector<std::uint64_t> expected;
+  for (const ServiceRequest& r : reqs) expected.push_back(solo_fingerprint(r));
+
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.result_cache_capacity = 8;
+  opts.batch_window_us = 3'000'000;
+  opts.max_batch_size = 2;
+  InferenceService svc(opts);
+  // First fused batch: two cold members, two misses.
+  RequestId a = svc.submit(reqs[0]);
+  RequestId b = svc.submit(reqs[1]);
+  EXPECT_EQ(svc.wait(a).deterministic_fingerprint(), expected[0]);
+  EXPECT_EQ(svc.wait(b).deterministic_fingerprint(), expected[1]);
+  // Second fused batch: a repeat of the first request plus a cold one.
+  RequestId repeat = svc.submit(reqs[0]);
+  RequestId c = svc.submit(reqs[2]);
+  EXPECT_EQ(svc.wait(repeat).deterministic_fingerprint(), expected[0]);
+  EXPECT_EQ(svc.wait(c).deterministic_fingerprint(), expected[2]);
+
+  const ResultCacheStats rs = svc.result_cache_stats();
+  EXPECT_EQ(rs.hits, 1) << "the repeat inside the fused batch was not a hit";
+  EXPECT_EQ(rs.misses, 3);
+  const BatchStats bs = svc.batch_stats();
+  EXPECT_EQ(bs.fused_batches, 2);
+  EXPECT_EQ(bs.fused_requests, 4);
+  svc.shutdown();
+}
+
 TEST(BatchServiceFusion, UnbatchedDefaultsKeepCountersZero) {
   std::vector<ServiceRequest> reqs =
       compatible_requests(3, GnnModelKind::kGcn, 21, "UB");

@@ -514,11 +514,12 @@ TEST(ChaosTest, ChaosRunReproducesFromItsSeed) {
   DisarmGuard guard;
   // Same spec + same single-worker request sequence => the same
   // per-request outcome sequence, by the per-site seeded RNG contract.
-  auto run_once = [&] {
+  auto run_once = [&](std::int64_t batch_window_us) {
     ServiceOptions opts;
     opts.workers = 1;  // serialize so draws map 1:1 onto requests
     opts.cache_capacity = 0;  // no caching: every request compiles + runs
     opts.fault_spec = "runtime.kernel_fault:0.05,seed:5";
+    opts.batch_window_us = batch_window_us;
     InferenceService service(opts);
     std::vector<bool> ok;
     for (int i = 0; i < 10; ++i) {
@@ -532,11 +533,14 @@ TEST(ChaosTest, ChaosRunReproducesFromItsSeed) {
     }
     return ok;
   };
-  std::vector<bool> first = run_once();
-  std::vector<bool> second = run_once();
+  std::vector<bool> first = run_once(0);
+  std::vector<bool> second = run_once(0);
   EXPECT_EQ(first, second);
   EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
   EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
+  // Batching on: each request is submitted and waited alone, so every
+  // batch has one member and must draw its faults exactly as unbatched.
+  EXPECT_EQ(run_once(1'000), first);
 }
 
 }  // namespace

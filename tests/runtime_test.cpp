@@ -1,10 +1,13 @@
 // Integration-grade unit tests of the runtime system: functional
 // correctness against the naive reference, timing structure, strategy
-// behaviour, runtime-overhead accounting.
+// behaviour, runtime-overhead accounting, and batch execution.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "compiler/compiler.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "model/reference.hpp"
 #include "runtime/runtime_system.hpp"
@@ -205,6 +208,76 @@ TEST(RuntimeTimingTest, OutputDensitiesTracked) {
   // The kernel reports carry the same values.
   for (std::size_t i = 0; i < r.kernels.size(); ++i)
     EXPECT_DOUBLE_EQ(r.kernels[i].output_density, r.node_densities[i]);
+}
+
+/// Fingerprint of every deterministic field of one execution, output
+/// matrix included.
+std::uint64_t fingerprint(const CompiledProgram& prog,
+                          const RuntimeOptions& opt, ExecutionResult r) {
+  return assemble_compiled_report(prog, opt, std::move(r))
+      .deterministic_fingerprint();
+}
+
+/// Run `members` plus one member whose token is cancelled before the run
+/// (inserted at index 1) through execute_batch. Every other member's
+/// result must be bit-identical to execute(); the cancelled one fails
+/// alone with CancelledError.
+BatchExecution expect_batch_matches_execute(std::vector<BatchMember> members) {
+  CancellationSource cancelled;
+  cancelled.cancel();
+  BatchMember doomed{members[0].prog, members[0].opt, cancelled.token()};
+  members.insert(members.begin() + 1, doomed);
+  BatchExecution bx = execute_batch(members);
+  EXPECT_EQ(bx.members.size(), members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const BatchMember& in = members[m];
+    const std::exception_ptr err = bx.members[m].error;
+    if (m == 1) {
+      EXPECT_TRUE(err) << "the cancelled member completed";
+      if (err) EXPECT_THROW(std::rethrow_exception(err), CancelledError);
+      continue;
+    }
+    EXPECT_FALSE(err) << "member " << m;
+    if (err) continue;
+    EXPECT_EQ(fingerprint(*in.prog, in.opt, std::move(bx.members[m].result)),
+              fingerprint(*in.prog, in.opt, execute(*in.prog, in.opt)))
+        << "member " << m;
+  }
+  return bx;
+}
+
+TEST(RuntimeBatchTest, MixedPlanShapesRunAsBatchesOfOne) {
+  // GCN and GraphSAGE programs are not structurally batchable: the
+  // batch_compatible fallback runs each member alone.
+  TestSetup gcn = make_setup(GnnModelKind::kGcn);
+  TestSetup sage = make_setup(GnnModelKind::kSage);
+  ASSERT_NE(gcn.prog.kernels.size(), sage.prog.kernels.size());
+  RuntimeOptions static1;
+  static1.strategy = MappingStrategy::kStatic1;
+  BatchExecution bx = expect_batch_matches_execute({
+      BatchMember{&gcn.prog, {}, {}},
+      BatchMember{&sage.prog, {}, {}},
+      BatchMember{&sage.prog, static1, {}},
+  });
+  EXPECT_EQ(bx.fused_kernels, 0);
+}
+
+TEST(RuntimeBatchTest, MembersSharingOneProgramFuseAndMatchExecute) {
+  // One shared program: pointer-equal operands, so kernels run as shared
+  // sweeps; each member keeps its own options.
+  TestSetup s = make_setup(GnnModelKind::kGcn);
+  RuntimeOptions static1, static2, serial;
+  static1.strategy = MappingStrategy::kStatic1;
+  static2.strategy = MappingStrategy::kStatic2;
+  serial.host_threads = 1;
+  BatchExecution bx = expect_batch_matches_execute({
+      BatchMember{&s.prog, {}, {}},
+      BatchMember{&s.prog, static1, {}},
+      BatchMember{&s.prog, static2, {}},
+      BatchMember{&s.prog, serial, {}},
+  });
+  EXPECT_GT(bx.fused_kernels, 0) << "no kernel ran as a shared sweep";
+  EXPECT_EQ(bx.total_kernels, static_cast<std::int64_t>(s.prog.kernels.size()));
 }
 
 TEST(RuntimeTimingTest, DeterministicAcrossRuns) {

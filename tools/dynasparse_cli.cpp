@@ -49,6 +49,14 @@ GnnModelKind parse_model(const std::string& s) {
   }
 }
 
+DatasetSpec parse_dataset(const std::string& tag) {
+  try {
+    return dataset_by_tag(tag);
+  } catch (const std::invalid_argument&) {
+    usage("unknown --dataset");
+  }
+}
+
 MappingStrategy parse_strategy(const std::string& s) {
   try {
     return parse_strategy_name(s);
@@ -105,7 +113,7 @@ int main(int argc, char** argv) {
     ds.spec.num_classes = parse_flag("classes", get("classes", "8"), strict_stoll);
     ds.spec.hidden_dim = parse_flag("hidden", get("hidden", "16"), strict_stoll);
   } else {
-    ds = generate_dataset(dataset_by_tag(get("dataset", "CO")),
+    ds = generate_dataset(parse_dataset(get("dataset", "CO")),
                           parse_flag("scale", get("scale", "0"), strict_stoi), seed);
     if (opt.count("hidden"))
       ds.spec.hidden_dim = parse_flag("hidden", opt["hidden"], strict_stoll);
