@@ -32,60 +32,36 @@
 // programs safe under the determinism contract (fingerprint-verified in
 // tests/tile_pool_test.cpp).
 //
-// Unlike KeyedFutureCache, eviction here must be REFCOUNT-AWARE: a
-// pooled operand referenced by a live CompiledProgram (use_count > 1)
-// must not leave the pool, or the next program compiled from that
-// dataset would rebuild — and re-account — bytes that are still
-// resident anyway. shrink/evict therefore skip pinned entries; an entry
-// only leaves once every program holding it has itself been evicted.
-// That is also why the pool registers FIRST with the MemoryBudget: the
-// budget shrinks tiers in reverse registration order, so the program
-// caches drop their references before the pool is asked to free the
-// now-unpinned tiles.
-//
-// In-flight dedup, cancelled-leader hand-off, and failure semantics
-// mirror KeyedFutureCache (see keyed_future_cache.hpp): concurrent
-// builders of one key join a shared future; a leader whose request
-// aborts hands the fill to a joiner; other failures surface to joiners
-// as their own CacheFillFailedError. One structural difference: the
-// entry's future is RESET once the value is ready. Keeping it would pin
-// use_count at 2 forever (the future's shared state holds a value copy),
-// making every entry look referenced and the use_count==1 eviction rule
-// vacuous.
+// The pool is a KeyedFutureCache (util/keyed_future_cache.hpp) and takes
+// its in-flight dedup, cancelled-leader hand-off, failure semantics and
+// held-entry rule from it: a pooled operand referenced by a live
+// CompiledProgram is never evicted, since the next program compiled from
+// that dataset would otherwise rebuild — and re-account — bytes that are
+// still resident. An entry only leaves once every program holding it has
+// itself been evicted. That is also why the pool registers FIRST with the
+// MemoryBudget: the budget shrinks tiers in reverse registration order,
+// so the program caches drop their references before the pool is asked
+// to free the now-unheld tiles. The pool alone keeps an operand heavier
+// than the whole budget (Oversize::kKeep): programs do not count the
+// operands they take from the pool, so a dropped one would be held but
+// counted nowhere.
 //
 // capacity 0 disables pooling: every call runs `build` privately, which
 // keeps the pool-off baseline measurable through the same call sites.
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <limits>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <tuple>
+#include <utility>
 
 #include "matrix/partitioned_matrix.hpp"
-#include "util/keyed_future_cache.hpp"  // CacheFillFailedError
+#include "util/keyed_future_cache.hpp"
 #include "util/memory_budget.hpp"
-#include "util/ordered_mutex.hpp"
 
 namespace dynasparse {
 
-struct TilePoolStats {
-  std::int64_t hits = 0;            // key found (ready or in-flight)
-  std::int64_t misses = 0;          // this call built the operand
-  std::int64_t evictions = 0;       // unpinned entries dropped
-  std::int64_t inflight_joins = 0;  // hits that waited on a build in flight
-  std::int64_t aborted_retries = 0; // joins retried after a leader abort
-  std::int64_t pinned_skips = 0;    // eviction passes over referenced entries
-  std::int64_t entries = 0;         // resident operands
-  std::int64_t bytes = 0;           // approx_footprint_bytes of residents
-  std::int64_t shared_refs = 0;     // sum over residents of (use_count - 1):
-                                    // live program references beyond the pool's
-};
+using TilePoolStats = KeyedCacheStats;
 
 class TilePool {
  public:
@@ -106,59 +82,34 @@ class TilePool {
   /// `max_entries` 0 disables pooling (every call builds privately).
   /// `tier` (optional) mirrors resident bytes into the shared budget.
   explicit TilePool(std::size_t max_entries,
-                    std::shared_ptr<MemoryBudget::Tier> tier = nullptr);
+                    std::shared_ptr<MemoryBudget::Tier> tier = nullptr)
+      : impl_(max_entries, 0,
+              [](const PartitionedMatrix& m) {
+                return m.approx_footprint_bytes();
+              },
+              std::move(tier), LockRank::kTilePool, Oversize::kKeep) {}
 
   /// Return the pooled operand for `key`, running `build` at most once
-  /// per key. Concurrent callers for one key join the builder in
-  /// flight; the failure/abort semantics match
-  /// KeyedFutureCache::get_or_make. The returned shared_ptr is the
-  /// pin: the entry stays resident while any caller (or program) holds it.
+  /// per key, with KeyedFutureCache::get_or_make's join, failure and
+  /// abort semantics. The returned shared_ptr is the pin: the entry
+  /// stays resident while any caller (or program) holds it.
   std::shared_ptr<const PartitionedMatrix> get_or_build(const Key& key,
-                                                        const Builder& build);
+                                                        const Builder& build) {
+    return impl_.get_or_make(key, [&] {
+      return std::make_shared<const PartitionedMatrix>(build());
+    });
+  }
 
-  /// Evict unpinned (use_count == 1) ready entries, LRU first, until
-  /// resident bytes are at most `target`. The budget's shrinker hook;
-  /// pinned entries are skipped and counted in stats().pinned_skips.
-  void shrink_to_bytes(std::size_t target);
+  /// Evict unheld ready entries, LRU first, until resident bytes are at
+  /// most `target`. The budget's shrinker hook; held entries are skipped
+  /// and counted in stats().pinned_skips.
+  void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
-  /// Drop every unpinned ready entry.
-  void clear();
-
-  TilePoolStats stats() const;
-  std::size_t max_entries() const { return max_entries_; }
+  TilePoolStats stats() const { return impl_.stats(); }
+  std::size_t max_entries() const { return impl_.max_entries(); }
 
  private:
-  struct FillResult {
-    std::shared_ptr<const PartitionedMatrix> value;
-    bool aborted = false;
-    std::string error;
-  };
-  struct Entry {
-    // Exactly one of the two is set: `pending` while the builder runs
-    // (joiners wait on it), `value` once ready. The future is reset at
-    // publish time so its shared state's value copy dies with the last
-    // joiner — see file comment on refcount-aware eviction.
-    std::shared_future<FillResult> pending;
-    std::shared_ptr<const PartitionedMatrix> value;
-    bool ready = false;
-    std::size_t bytes = 0;
-    std::list<Key>::iterator lru_pos;
-  };
-
-  /// Erase `key` after a failed build; mu_ taken inside.
-  void erase_failed_entry(const Key& key);
-  /// Drop unpinned ready LRU entries while over `entry_limit` entries or
-  /// `byte_target` bytes (kNoByteBound = count-only pass); mu_ held.
-  static constexpr std::int64_t kNoByteBound =
-      std::numeric_limits<std::int64_t>::max();
-  void evict_locked(std::size_t entry_limit, std::int64_t byte_target);
-
-  const std::size_t max_entries_;
-  const std::shared_ptr<MemoryBudget::Tier> tier_;
-  mutable OrderedMutex mu_{LockRank::kTilePool};
-  std::map<Key, Entry> entries_;
-  std::list<Key> lru_;  // front = least recently used
-  TilePoolStats stats_;
+  KeyedFutureCache<Key, PartitionedMatrix> impl_;
 };
 
 }  // namespace dynasparse

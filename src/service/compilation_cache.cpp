@@ -43,16 +43,4 @@ std::shared_ptr<const CompiledProgram> CompilationCache::get_or_compile(
   });
 }
 
-CacheStats CompilationCache::stats() const {
-  const KeyedCacheStats s = impl_.stats();
-  CacheStats out;
-  out.hits = s.hits;
-  out.misses = s.misses;
-  out.evictions = s.evictions;
-  out.inflight_joins = s.inflight_joins;
-  out.entries = s.entries;
-  out.bytes = s.bytes;
-  return out;
-}
-
 }  // namespace dynasparse

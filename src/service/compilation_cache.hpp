@@ -6,11 +6,10 @@
 // same (model, dataset, config) content share one CompiledProgram.
 //
 // Keys are content hashes (compiler/signature.hpp), so independently
-// constructed but identical inputs hit. The cache mechanics — shared_ptr
-// entries that outlive LRU eviction while requests execute them,
-// in-flight compile dedup via shared_future, poisoned-entry erase on a
-// throwing compile — live in the shared util/keyed_future_cache.hpp core
-// (also behind the service's ResultCache).
+// constructed but identical inputs hit. The cache mechanics — a program
+// a request still executes is never evicted, in-flight compile dedup,
+// poisoned-entry erase on a throwing compile — live in the shared
+// util/keyed_future_cache.hpp core, which every reuse tier uses.
 //
 // Thread-safe. Capacity 0 disables storage (every call compiles) but
 // still counts stats, which keeps the uncached baseline measurable
@@ -28,17 +27,10 @@
 
 namespace dynasparse {
 
-struct CacheStats {
-  std::int64_t hits = 0;        // key found (ready or in-flight)
-  std::int64_t misses = 0;      // key absent; this call compiled
-  std::int64_t evictions = 0;   // entries dropped by LRU (count or bytes)
-  std::int64_t inflight_joins = 0;  // hits that waited on a compile in flight
-  std::int64_t entries = 0;     // current resident entries
-  std::int64_t bytes = 0;       // approx resident program bytes
-                                // (CompiledProgram::approx_footprint_bytes;
-                                // pooled operands excluded — the TilePool
-                                // tier accounts those once)
-};
+/// `bytes` is CompiledProgram::approx_footprint_bytes of the resident
+/// programs, pooled operands excluded — the TilePool tier accounts those
+/// once.
+using CacheStats = KeyedCacheStats;
 
 class CompilationCache {
  public:
@@ -80,20 +72,8 @@ class CompilationCache {
       const CompileKey& key, const GnnModel& model, const Dataset& ds,
       const SimConfig& cfg, const CancellationToken& token = {});
 
-  /// Ready entry for `key`, or nullptr (does not wait on in-flight
-  /// compiles and does not touch LRU order or stats).
-  std::shared_ptr<const CompiledProgram> peek(const CompileKey& key) const {
-    return impl_.peek(key);
-  }
-
-  CacheStats stats() const;
+  CacheStats stats() const { return impl_.stats(); }
   std::size_t capacity() const { return impl_.max_entries(); }
-  /// The plan store seeding this cache's misses, or null.
-  const std::shared_ptr<PlanStore>& plan_store() const { return plans_; }
-  /// The tile pool sharing this cache's dataset operands, or null.
-  const std::shared_ptr<TilePool>& tile_pool() const { return pool_; }
-  /// Drop every ready entry (in-flight compiles complete unobserved).
-  void clear() { impl_.clear(); }
   /// Budget shrinker hook: evict ready programs down to `target` bytes.
   /// Dropping a program also drops its pool-operand references, which is
   /// what lets the TilePool's own shrink pass (it runs after this one —

@@ -254,6 +254,7 @@ PlanStoreStats PlanStore::stats() const {
   out.hits = s.hits;
   out.misses = s.misses;
   out.inflight_joins = s.inflight_joins;
+  out.aborted_retries = s.aborted_retries;
   out.entries = s.entries;
   out.evictions = s.evictions;
   out.bytes = s.bytes;

@@ -66,6 +66,7 @@ struct PlanStoreStats {
   std::int64_t hits = 0;            // memory-tier hits (ready or in flight)
   std::int64_t misses = 0;          // memory-tier misses
   std::int64_t inflight_joins = 0;  // hits that waited on a plan in flight
+  std::int64_t aborted_retries = 0; // joins retried after their leader aborted
   std::int64_t entries = 0;         // resident memory-tier plans
   std::int64_t evictions = 0;       // memory-tier LRU drops
   std::int64_t planned = 0;         // plans computed from scratch
@@ -134,8 +135,6 @@ class PlanStore {
                                                 const CancellationToken& token = {});
 
   PlanStoreStats stats() const;
-  /// Drop every ready memory-tier entry (disk files stay).
-  void clear() { impl_.clear(); }
   /// Budget shrinker hook: evict memory-tier plans down to `target` bytes.
   void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 

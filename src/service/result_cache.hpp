@@ -14,9 +14,10 @@
 // resident bytes (InferenceReport::approx_footprint_bytes — reports
 // carry the full functional output matrix, so a byte bound is what
 // actually caps memory); whichever bound is exceeded evicts, LRU-first.
-// The cache mechanics (in-flight dedup via shared_future, poisoned-entry
-// erase on a throwing run) live in the shared util/keyed_future_cache.hpp
-// core, also behind CompilationCache.
+// The cache mechanics (in-flight dedup, poisoned-entry erase on a
+// throwing run, never evicting a report a caller still holds) live in
+// the shared util/keyed_future_cache.hpp core, which every reuse tier
+// uses.
 //
 // Thread-safe. max_entries 0 disables storage (every call executes) but
 // still counts stats, keeping the memoization-off baseline measurable
@@ -32,8 +33,7 @@
 
 namespace dynasparse {
 
-/// hits/misses/evictions/inflight_joins/entries/bytes; `bytes` is the
-/// approximate resident footprint of ready entries.
+/// `bytes` is the approximate resident footprint of ready entries.
 using ResultCacheStats = KeyedCacheStats;
 
 class ResultCache {
@@ -70,10 +70,6 @@ class ResultCache {
 
   ResultCacheStats stats() const { return impl_.stats(); }
 
-  std::size_t max_entries() const { return impl_.max_entries(); }
-  std::size_t max_bytes() const { return impl_.max_bytes(); }
-  /// Drop every ready entry (in-flight runs complete unobserved).
-  void clear() { impl_.clear(); }
   /// Budget shrinker hook: evict ready reports down to `target` bytes.
   void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 

@@ -1,7 +1,7 @@
 #pragma once
-// Shared core of the service's caches (CompilationCache, ResultCache,
-// PlanStore): a thread-safe content-keyed cache of shared_ptr<const V>
-// with
+// Shared core of every reuse tier (CompilationCache, ResultCache,
+// PlanStore and the operand TilePool): a thread-safe content-keyed cache
+// of shared_ptr<const V> with
 //
 //   - in-flight dedup: the first requester of an absent key runs the
 //     factory; concurrent requesters for the same key block on a
@@ -9,6 +9,16 @@
 //   - LRU eviction bounded by entry count and, when a weigher is
 //     provided, by the approximate resident bytes of ready entries
 //     (whichever bound is exceeded evicts);
+//   - one eviction rule: a ready entry that a caller still holds (its
+//     value's use_count is above the cache's own reference) is never
+//     evicted — not by the count bound, the private byte bound, a budget
+//     shrink or clear(). Dropping it would free nothing, credit the
+//     budget for bytes that stay resident, and make the next request for
+//     the key build a second copy. Each skip counts in pinned_skips; the
+//     entry leaves on a later pass once its last holder lets go. For this
+//     to count only real holders, an entry keeps its ready value beside
+//     the fill future and drops the future once the value is published
+//     (the future's shared state holds a value copy of its own);
 //   - shared-budget accounting: with a MemoryBudget tier attached, every
 //     byte the private accounting tracks is mirrored into the
 //     process-wide budget (charge on entry-ready, credit on
@@ -29,26 +39,30 @@
 //     inherit the abort; each retries the lookup, and the first one in
 //     becomes the new leader running its own factory (with its own
 //     token). Only the aborted request observes its abort;
-//   - hit/miss/eviction/in-flight-join/aborted-retry/entry/byte stats.
+//   - hit/miss/eviction/in-flight-join/aborted-retry/pinned-skip/entry/
+//     byte stats, plus shared_refs: the references callers hold beyond
+//     the cache's own.
 //
-// Entries hold shared_ptr<const V>, so a value stays alive for callers
-// that hold it even after LRU eviction. max_entries 0 disables storage —
-// every call runs the factory and counts a miss, which keeps an uncached
-// baseline measurable through the same code path (callers may then skip
-// computing a real key).
+// max_entries 0 disables storage — every call runs the factory and
+// counts a miss, which keeps an uncached baseline measurable through the
+// same code path (callers may then skip computing a real key).
 //
-// In-flight entries are never evicted (their requesters hold the
-// future), so the cache may briefly exceed max_entries while more keys
-// run concurrently than fit. A lone value heavier than the hard byte
-// ceiling — the private max_bytes, or the whole shared budget when the
-// cache runs under one without a private bound — is dropped by its own
-// insertion: returned to the caller, never resident, never charged, and
-// without evicting any other entry as collateral (admit-then-drop,
-// pinned by tests/memory_budget_test.cpp).
+// In-flight and held entries are never evicted, so the cache may exceed
+// max_entries while more keys run or are held than fit. A lone value
+// heavier than the hard byte ceiling — the private max_bytes, or the
+// whole shared budget when the cache runs under one without a private
+// bound — is dropped by its own insertion: returned to the caller, never
+// resident, never charged, and without evicting any other entry as
+// collateral (admit-then-drop, pinned by tests/memory_budget_test.cpp).
+// The one exception is Oversize::kKeep, which only the TilePool sets: a
+// program does not count the operands it takes from the pool, so an
+// operand the pool dropped would be held but counted nowhere. Under
+// kKeep an oversize value stays resident and charged like any other.
 
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -78,9 +92,16 @@ struct KeyedCacheStats {
   std::int64_t inflight_joins = 0;  // hits that waited on a run in flight
   std::int64_t aborted_retries = 0; // joins that retried after their leader
                                     // aborted cooperatively (hand-off)
+  std::int64_t pinned_skips = 0;    // eviction passes over held entries
   std::int64_t entries = 0;         // current resident entries
   std::int64_t bytes = 0;           // weighed bytes of ready entries (0 without a weigher)
+  std::int64_t shared_refs = 0;     // references held beyond the cache's
+                                    // own: sum of (use_count - 1)
 };
+
+/// What happens to a lone value heavier than the hard byte ceiling (see
+/// the file comment): kDrop = admit-then-drop, kKeep = stay resident.
+enum class Oversize { kDrop, kKeep };
 
 template <typename Key, typename V>
 class KeyedFutureCache {
@@ -94,13 +115,16 @@ class KeyedFutureCache {
   /// budget, not a private ceiling, bound this cache.
   /// `rank` places this cache's mutex in the global lock hierarchy
   /// (util/ordered_mutex.hpp): each wrapper passes its own rank
-  /// (kResultCache / kCompileCache / kPlanStore), all of which order
-  /// before kMemoryBudget — the cache -> budget contract above.
+  /// (kResultCache / kCompileCache / kPlanStore / kTilePool), all of
+  /// which order before kMemoryBudget — the cache -> budget contract
+  /// above. `oversize` is kKeep only for the TilePool.
   explicit KeyedFutureCache(std::size_t max_entries, std::size_t max_bytes = 0,
                             Weigher weigh = {}, BudgetTier tier = nullptr,
-                            LockRank rank = LockRank::kResultCache)
+                            LockRank rank = LockRank::kResultCache,
+                            Oversize oversize = Oversize::kDrop)
       : max_entries_(max_entries), max_bytes_(max_bytes),
-        weigh_(std::move(weigh)), tier_(std::move(tier)), mu_(rank) {}
+        weigh_(std::move(weigh)), tier_(std::move(tier)), oversize_(oversize),
+        mu_(rank) {}
 
   /// Return the value for `key`, running `make` at most once per key. May
   /// block while another thread runs the same key. The caller that ran
@@ -108,7 +132,8 @@ class KeyedFutureCache {
   /// leader failed throws its own fresh CacheFillFailedError with the
   /// leader's message — except that a leader's RequestAbortedError is
   /// never propagated to joiners at all: each retries and, if the entry
-  /// is still absent, runs its own `make` (hand-off).
+  /// is still absent, runs its own `make` (hand-off). The returned
+  /// shared_ptr keeps the entry resident while the caller holds it.
   std::shared_ptr<const V> get_or_make(
       const Key& key, const std::function<std::shared_ptr<const V>()>& make) {
     if (max_entries_ == 0) {
@@ -121,31 +146,29 @@ class KeyedFutureCache {
 
     for (;;) {
       std::promise<FillResult> promise;
-      ValueFuture fut;
-      bool make_here = false;
+      PendingFill pending;  // valid iff this caller joins a fill in flight
       {
         std::lock_guard<OrderedMutex> lk(mu_);
         auto it = entries_.find(key);
         if (it != entries_.end()) {
           ++stats_.hits;
-          if (!it->second.ready) ++stats_.inflight_joins;
           touch(it->second);
-          fut = it->second.value;
+          if (it->second.ready) return it->second.value;
+          ++stats_.inflight_joins;
+          pending = it->second.pending;
         } else {
           ++stats_.misses;
-          make_here = true;
           Entry e;
-          e.value = promise.get_future().share();
+          e.pending = promise.get_future().share();
           lru_.push_back(key);
           e.lru_pos = std::prev(lru_.end());
-          fut = e.value;
           entries_.emplace(key, std::move(e));
           ++stats_.entries;
         }
       }
 
-      if (!make_here) {
-        const FillResult& r = fut.get();  // never throws: failures are data
+      if (pending.valid()) {
+        const FillResult& r = pending.get();  // never throws: failures are data
         if (r.value) return r.value;
         if (r.aborted) {
           // The leader's request was cancelled or hit its deadline — an
@@ -182,13 +205,20 @@ class KeyedFutureCache {
               --stats_.entries;
               ++stats_.evictions;
             } else {
+              it->second.value = value;
               it->second.ready = true;
+              // Joiners already waiting hold their own copy of the
+              // future; the entry's copy would only keep use_count above
+              // 1 for as long as the entry lives.
+              it->second.pending = {};
               it->second.bytes = bytes;
               stats_.bytes += static_cast<std::int64_t>(bytes);
               if (tier_) need_rebalance = tier_->charge(bytes);
             }
           }
-          evict_excess();
+          evict_locked(max_entries_, max_bytes_ > 0
+                                         ? static_cast<std::int64_t>(max_bytes_)
+                                         : kNoByteBound);
         }
         // Cross-tier pressure runs with no cache lock held: the budget's
         // shrinkers re-enter caches (this one included) through
@@ -225,50 +255,32 @@ class KeyedFutureCache {
     std::lock_guard<OrderedMutex> lk(mu_);
     auto it = entries_.find(key);
     if (it == entries_.end() || !it->second.ready) return nullptr;
-    return it->second.value.get().value;  // ready entries always hold a value
+    return it->second.value;
   }
 
   KeyedCacheStats stats() const {
     std::lock_guard<OrderedMutex> lk(mu_);
-    return stats_;
+    KeyedCacheStats out = stats_;
+    for (const auto& kv : entries_)
+      if (kv.second.ready) out.shared_refs += kv.second.value.use_count() - 1;
+    return out;
   }
 
   std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  const BudgetTier& budget_tier() const { return tier_; }
 
-  /// Evict ready LRU entries until the weighed bytes are at most
+  /// Evict ready, unheld LRU entries until the weighed bytes are at most
   /// `target`. The MemoryBudget's shrinker hook: invoked with no budget
-  /// lock held, takes mu_ itself, credits the tier per eviction.
-  /// In-flight entries are skipped (their requesters hold the future),
-  /// so the result is best-effort under concurrency.
+  /// lock held, takes mu_ itself, credits the tier per eviction. Skips
+  /// in-flight and held entries, so the result is best-effort.
   void shrink_to_bytes(std::size_t target) {
     std::lock_guard<OrderedMutex> lk(mu_);
-    auto pos = lru_.begin();
-    while (stats_.bytes > static_cast<std::int64_t>(target) && pos != lru_.end()) {
-      auto it = entries_.find(*pos);
-      if (it != entries_.end() && it->second.ready) {
-        drop_ready_locked(it);
-        pos = lru_.erase(pos);
-        ++stats_.evictions;
-      } else {
-        ++pos;
-      }
-    }
+    evict_locked(kNoCountBound, static_cast<std::int64_t>(target));
   }
 
-  /// Drop every ready entry (in-flight runs complete unobserved).
+  /// Drop every ready, unheld entry (in-flight runs complete unobserved).
   void clear() {
     std::lock_guard<OrderedMutex> lk(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.ready) {
-        lru_.erase(it->second.lru_pos);
-        auto victim = it++;
-        drop_ready_locked(victim);
-      } else {
-        ++it;
-      }
-    }
+    evict_locked(0, 0);
   }
 
  private:
@@ -281,29 +293,28 @@ class KeyedFutureCache {
     bool aborted = false;            // leader abort: joiners retry, not fail
     std::string error;               // leader's message (non-abort failures)
   };
-  using ValueFuture = std::shared_future<FillResult>;
+  using PendingFill = std::shared_future<FillResult>;
   struct Entry {
-    ValueFuture value;
-    bool ready = false;     // set once the making thread fulfilled it
-    std::size_t bytes = 0;  // weighed size, valid once ready
+    PendingFill pending;             // set while the fill runs, then reset
+    std::shared_ptr<const V> value;  // set once ready
+    bool ready = false;
+    std::size_t bytes = 0;           // weighed size, valid once ready
     typename std::list<Key>::iterator lru_pos;
   };
 
+  static constexpr std::size_t kNoCountBound =
+      std::numeric_limits<std::size_t>::max();
+  static constexpr std::int64_t kNoByteBound =
+      std::numeric_limits<std::int64_t>::max();
+
   /// The ceiling a single value must fit under to stay resident: the
-  /// private max_bytes when set, else the shared budget's limit.
+  /// private max_bytes when set, else the shared budget's limit; 0 (no
+  /// ceiling) under Oversize::kKeep.
   std::size_t hard_byte_cap() const {
+    if (oversize_ == Oversize::kKeep) return 0;
     if (max_bytes_ > 0) return max_bytes_;
     if (tier_) return tier_->owner().limit_bytes();
     return 0;
-  }
-
-  /// Erase a ready entry and release its byte accounting (private stats
-  /// and budget tier); mu_ held. Does not touch lru_.
-  void drop_ready_locked(typename std::map<Key, Entry>::iterator it) {
-    stats_.bytes -= static_cast<std::int64_t>(it->second.bytes);
-    if (tier_) tier_->credit(it->second.bytes);
-    entries_.erase(it);
-    --stats_.entries;
   }
 
   /// Remove `key` after a failed fill (the leader is about to publish
@@ -324,25 +335,33 @@ class KeyedFutureCache {
     e.lru_pos = std::prev(lru_.end());
   }
 
-  /// Drop ready LRU entries while either private bound is exceeded; mu_
-  /// held. (The shared budget's bound is enforced by rebalance ->
-  /// shrink_to_bytes, never from under this lock.)
-  void evict_excess() {
+  /// The one eviction pass: drop ready, unheld entries LRU-first while
+  /// more than `max_count` entries or `max_bytes` weighed bytes are
+  /// resident, crediting the budget tier per eviction; mu_ held. (The
+  /// shared budget's bound is enforced by rebalance -> shrink_to_bytes,
+  /// never from under this lock.)
+  void evict_locked(std::size_t max_count, std::int64_t max_bytes) {
     auto over = [&] {
-      return entries_.size() > max_entries_ ||
-             (max_bytes_ > 0 &&
-              stats_.bytes > static_cast<std::int64_t>(max_bytes_));
+      return entries_.size() > max_count || stats_.bytes > max_bytes;
     };
     auto pos = lru_.begin();
     while (over() && pos != lru_.end()) {
       auto it = entries_.find(*pos);
-      if (it != entries_.end() && it->second.ready) {
-        drop_ready_locked(it);
-        pos = lru_.erase(pos);
-        ++stats_.evictions;
-      } else {
+      if (!it->second.ready) {  // in flight: its requesters wait on it
         ++pos;
+        continue;
       }
+      if (it->second.value.use_count() > 1) {  // held: see file comment
+        ++stats_.pinned_skips;
+        ++pos;
+        continue;
+      }
+      stats_.bytes -= static_cast<std::int64_t>(it->second.bytes);
+      if (tier_) tier_->credit(it->second.bytes);
+      entries_.erase(it);
+      --stats_.entries;
+      ++stats_.evictions;
+      pos = lru_.erase(pos);
     }
   }
 
@@ -350,6 +369,7 @@ class KeyedFutureCache {
   const std::size_t max_bytes_;
   const Weigher weigh_;
   const BudgetTier tier_;
+  const Oversize oversize_;
   mutable OrderedMutex mu_;
   std::map<Key, Entry> entries_;
   std::list<Key> lru_;  // front = least recently used

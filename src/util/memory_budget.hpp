@@ -81,9 +81,10 @@ class MemoryBudget {
     /// Remove `bytes` from this tier (counter-only, never rebalances).
     void credit(std::size_t bytes);
     /// Install the eviction hook rebalance() drives: shrink resident
-    /// bytes to at most `target`. Best-effort — pinned entries (in-flight
-    /// fills, pool operands still referenced by live programs) may keep
-    /// the tier above target. Install before traffic; may be re-set.
+    /// bytes to at most `target`. Best-effort — in-flight fills and
+    /// entries a caller still holds (e.g. pool operands referenced by
+    /// live programs) may keep the tier above target. Install before
+    /// traffic; may be re-set.
     void set_shrinker(std::function<void(std::size_t)> shrink);
     std::int64_t bytes() const;
     MemoryBudget& owner() const { return *owner_; }

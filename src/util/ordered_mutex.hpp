@@ -69,7 +69,7 @@ enum class LockRank : int {
   kCompileCache = 410,        // CompilationCache KeyedFutureCache
   kPlanStore = 420,           // PlanStore KeyedFutureCache
   kPlanStoreSide = 430,       // PlanStore side counters
-  kTilePool = 440,            // TilePool entry map
+  kTilePool = 440,            // TilePool KeyedFutureCache
   kPoolDeque = 500,           // work-stealing pool per-slot deques
   kPoolIdle = 510,            // pool idle/wake state
   kPoolJoin = 520,            // pool job join

@@ -1,9 +1,10 @@
 // InferenceService tests: batched results bit-identical to sequential
 // runs, compilation-cache accounting (hits, in-flight dedup, LRU
-// eviction), failure isolation, race-freedom under concurrent
-// submitters, result memoization (ResultKey sensitivity, hits that skip
-// execution, LRU by count and by bytes), and bounded admission control
-// (reject fail-fast, try_submit, shed-oldest). The concurrency tests
+// eviction that never drops a held program), failure isolation,
+// race-freedom under concurrent submitters, result memoization
+// (ResultKey sensitivity, hits that skip execution, LRU by count and by
+// bytes), and bounded admission control (reject fail-fast, try_submit,
+// shed-oldest). The concurrency tests
 // force >1 worker regardless of the host's core count and are part of
 // the CI ThreadSanitizer job; the randomized interleaving soak lives in
 // tests/service_stress_test.cpp.
@@ -163,6 +164,35 @@ TEST(ServiceTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(service.cache_stats().misses, 4);
   run_seed(43);  // still resident: hit
   EXPECT_EQ(service.cache_stats().hits, 1);
+}
+
+TEST(ServiceTest, CompileCacheNeverEvictsAHeldProgram) {
+  // Capacity 1 while this test still holds the first program: compiling
+  // a second content must not evict it — that would free nothing and
+  // make the next request for it compile a second copy.
+  const ServiceRequest a = make_request(61, GnnModelKind::kGcn);
+  const ServiceRequest b = make_request(62, GnnModelKind::kGcn);
+  const ServiceRequest c = make_request(63, GnnModelKind::kGcn);
+  CompilationCache cache(1);
+  auto get = [&](const ServiceRequest& r) {
+    return cache.get_or_compile(*r.model, *r.dataset, r.options.config);
+  };
+  auto held = get(a);
+  (void)get(b);
+  auto again = get(a);
+  EXPECT_EQ(again.get(), held.get());  // a hit on the very same program
+  CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 2);
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_GT(s.pinned_skips, 0);
+
+  // Released, it is evicted by the next insert like any other entry.
+  held.reset();
+  again.reset();
+  (void)get(c);
+  EXPECT_EQ(cache.stats().entries, 1);
+  (void)get(a);
+  EXPECT_EQ(cache.stats().misses, 4);  // evicted, so compiled again
 }
 
 TEST(ServiceTest, ConcurrentSubmittersAreRaceFree) {

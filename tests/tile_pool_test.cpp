@@ -7,11 +7,14 @@
 //   - determinism: a pooled compile produces a report bit-identical to
 //     a private (pool-off) compile — equal keys imply bit-identical
 //     tiles, so sharing must be invisible to results;
-//   - refcount-aware eviction: an entry referenced by a live program
+//   - held-entry eviction: an entry referenced by a live program
 //     survives shrink (pinned_skips), and leaves only once unreferenced;
-//   - in-flight dedup + failure semantics mirroring KeyedFutureCache:
-//     one build per key under concurrency, failed builds leave no
-//     residue, an aborted leader hands the fill to a joiner;
+//   - the pool's oversize rule: an operand heavier than the whole budget
+//     stays resident and charged while held, where the other tiers drop
+//     such a value on insertion;
+//   - in-flight dedup + failure semantics of the KeyedFutureCache the
+//     pool wraps: one build per key under concurrency, failed builds
+//     leave no residue, an aborted leader hands the fill to a joiner;
 //   - chaos: pool eviction racing plan_store.disk_read faults neither
 //     crashes nor changes completed results (CI chaos lane).
 
@@ -31,6 +34,7 @@
 #include "service/inference_service.hpp"
 #include "util/cancellation.hpp"
 #include "util/fault_injection.hpp"
+#include "util/memory_budget.hpp"
 
 namespace dynasparse {
 namespace {
@@ -159,6 +163,30 @@ TEST(TilePoolTest, PinnedEntriesSurviveShrinkUntilReleased) {
   s = pool.stats();
   EXPECT_EQ(s.entries, 0);  // unpinned now: eviction proceeds
   EXPECT_EQ(s.bytes, 0);
+}
+
+TEST(TilePoolTest, HeldOperandHeavierThanTheBudgetStaysResident) {
+  // Programs do not count the operands they take from the pool, so an
+  // operand the pool dropped would be held but counted nowhere: the pool
+  // keeps it resident and charged even over a 1-byte budget.
+  MemoryBudget budget(1);
+  auto tier = budget.register_tier("tile_pool", 1.0);
+  TilePool pool(16, tier);
+  budget.bind_shrinker("tile_pool",
+                       [&pool](std::size_t t) { pool.shrink_to_bytes(t); });
+  TilePool::Key key{7, 7, 7};
+  auto held = pool.get_or_build(key, [] { return tiny_partitioned(); });
+  ASSERT_TRUE(held);
+
+  TilePoolStats s = pool.stats();
+  EXPECT_EQ(s.entries, 1);
+  EXPECT_EQ(s.bytes, static_cast<std::int64_t>(held->approx_footprint_bytes()));
+  EXPECT_EQ(tier->bytes(), s.bytes);  // charged to its tier
+  auto again = pool.get_or_build(key, [] {
+    ADD_FAILURE() << "a held operand must not rebuild";
+    return tiny_partitioned();
+  });
+  EXPECT_EQ(again.get(), held.get());
 }
 
 TEST(TilePoolTest, ConcurrentBuildersDedupeToOneBuild) {

@@ -1,7 +1,7 @@
 // dynasparse_lint — repo-invariant lint, exit-code gated in CI.
 //
 // Nine PRs of growth accumulated contracts enforced only by convention;
-// this tool turns the four load-bearing ones into machine checks:
+// this tool turns the load-bearing ones into machine checks:
 //
 //   [raw-parse]          No raw getenv / std::stoi-family / atoi / strtol
 //                        outside util/strict_parse.* — every numeric or
@@ -25,6 +25,11 @@
 //                        file, so adding a field without updating the
 //                        hash fails the build instead of silently
 //                        aliasing cache keys.
+//   [cache-core]         Inside src/, std::promise and std::shared_future
+//                        appear only in src/util/keyed_future_cache.hpp:
+//                        every reuse tier wraps that one cache core
+//                        instead of re-implementing its fill protocol
+//                        (in-flight dedup, hand-off, held-entry eviction).
 //
 // A finding can be waived per line with `// dynasparse-lint: allow(rule)`
 // — the annotation is the audit trail.
@@ -269,6 +274,27 @@ void check_error_taxonomy(const FileView& f, std::vector<Finding>& out) {
   }
 }
 
+// ---- rule: cache-core ------------------------------------------------------
+
+void check_cache_core(const FileView& f, std::vector<Finding>& out) {
+  if (!starts_with(f.rel, "src/") || f.rel == "src/util/keyed_future_cache.hpp")
+    return;
+  for (std::size_t i = 0; i < f.code_nostr.size(); ++i) {
+    const std::string& line = f.code_nostr[i];
+    for (const char* id : {"promise", "shared_future"}) {
+      for (std::size_t col : find_ident(line, id)) {
+        if (col < 5 || line.compare(col - 5, 5, "std::") != 0) continue;
+        if (allow_marker(f.raw[i], "cache-core")) continue;
+        out.push_back({f.rel, static_cast<long>(i + 1), "cache-core",
+                       std::string("std::") + id +
+                           " outside src/util/keyed_future_cache.hpp; wrap "
+                           "KeyedFutureCache instead of re-implementing its "
+                           "fill protocol"});
+      }
+    }
+  }
+}
+
 // ---- rule: fault-site ------------------------------------------------------
 
 std::set<std::string> load_fault_registry(const fs::path& root, bool* found) {
@@ -461,6 +487,7 @@ std::vector<Finding> lint_tree(const fs::path& root) {
 
     check_raw_parse(f, findings);
     check_error_taxonomy(f, findings);
+    check_cache_core(f, findings);
     if (registry_found) check_fault_sites(f, registry, findings);
   }
 
