@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -18,6 +17,11 @@
 namespace dynasparse {
 
 namespace {
+
+constexpr int kListenBacklog = 64;
+/// Poll tick while requests are in flight: bounds the added completion
+/// -> RESULT latency.
+constexpr int kCompletionPollMs = 1;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetSetupError(what + ": " + std::strerror(errno));
@@ -37,14 +41,10 @@ std::uint8_t state_code(RequestState s) {
 
 NetServer::NetServer(InferenceService& service, NetServerOptions options)
     : service_(service), options_(std::move(options)) {
-  if (options_.backlog <= 0)
-    throw std::invalid_argument("NetServerOptions::backlog must be > 0");
   if (options_.max_connections == 0)
     throw std::invalid_argument("NetServerOptions::max_connections must be > 0");
   if (options_.frame_timeout_ms < 0)
     throw std::invalid_argument("NetServerOptions::frame_timeout_ms must be >= 0");
-  if (options_.completion_poll_ms <= 0)
-    throw std::invalid_argument("NetServerOptions::completion_poll_ms must be > 0");
 }
 
 NetServer::~NetServer() { stop(); }
@@ -67,7 +67,7 @@ void NetServer::start() {
     throw std::invalid_argument("NetServer: bad listen host " + options_.host);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
     throw_errno("bind " + options_.host + ":" + std::to_string(options_.port));
-  if (::listen(fd.get(), options_.backlog) != 0) throw_errno("listen");
+  if (::listen(fd.get(), kListenBacklog) != 0) throw_errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
@@ -97,13 +97,30 @@ NetServerStats NetServer::stats() const {
   return stats_;
 }
 
+Metrics NetServer::metrics() const {
+  const NetServerStats ns = stats();
+  Metrics m;
+  m.counter("connections", static_cast<std::int64_t>(open_connections_.load()));
+  m.counter("accepted", ns.accepted);
+  m.counter("refused", ns.refused);
+  m.counter("frames", ns.frames);
+  m.counter("submits", ns.submits);
+  m.counter("results", ns.results);
+  m.counter("errors_sent", ns.errors_sent);
+  m.counter("protocol_errors", ns.protocol_errors);
+  m.counter("timeouts", ns.timeouts);
+  m.counter("disconnect_cancels", ns.disconnect_cancels);
+  m.append(service_.metrics());
+  return m;
+}
+
 void NetServer::bump(std::int64_t NetServerStats::*field) {
   std::lock_guard<OrderedMutex> lk(stats_mu_);
   ++(stats_.*field);
 }
 
 int NetServer::poll_timeout_ms() const {
-  if (!pending_.empty()) return options_.completion_poll_ms;
+  if (!pending_.empty()) return kCompletionPollMs;
   for (const auto& [id, conn] : conns_) {
     (void)id;
     if (conn->has_partial_frame()) return 20;  // slow-loris watch
@@ -153,6 +170,7 @@ void NetServer::loop_main() {
     if (loop_.contains(conn->fd())) loop_.remove(conn->fd());
   }
   conns_.clear();  // destructors close the sockets
+  open_connections_ = 0;
   if (listener_.valid()) {
     loop_.remove(listener_.get());
     listener_.reset();
@@ -192,6 +210,7 @@ void NetServer::handle_listener(std::uint32_t events) {
     loop_.add(fd, conn->interest(),
               [this, conn_id](std::uint32_t ev) { handle_connection(conn_id, ev); });
     conns_.emplace(conn_id, std::move(conn));
+    open_connections_ = conns_.size();
     bump(&NetServerStats::accepted);
   }
 }
@@ -290,38 +309,7 @@ void NetServer::dispatch_frame(Connection& conn, const WireFrame& frame) {
         protocol_violation(e.what());
         return;
       }
-      CacheStats cs = service_.cache_stats();
-      RobustnessStats rs = service_.robustness_stats();
-      AdmissionStats as = service_.admission_stats();
-      MemoryBudgetStats ms = service_.memory_budget_stats();
-      TilePoolStats ps = service_.tile_pool_stats();
-      BatchStats bs = service_.batch_stats();
-      NetServerStats ns = stats();
-      std::ostringstream os;
-      os << "connections=" << conns_.size() << " accepted=" << ns.accepted
-         << " refused=" << ns.refused << " frames=" << ns.frames
-         << " submits=" << ns.submits << " results=" << ns.results
-         << " errors_sent=" << ns.errors_sent
-         << " protocol_errors=" << ns.protocol_errors
-         << " timeouts=" << ns.timeouts
-         << " disconnect_cancels=" << ns.disconnect_cancels
-         << " cache_hits=" << cs.hits << " cache_misses=" << cs.misses
-         << " admission_accepted=" << as.accepted
-         << " admission_rejected=" << as.rejected
-         << " admission_shed=" << as.shed << " cancelled=" << rs.cancelled
-         << " expired_in_queue=" << rs.expired_in_queue
-         << " expired_running=" << rs.expired_running
-         << " execution_failures=" << rs.execution_failures
-         << " budget_limit=" << ms.limit_bytes << " budget_bytes=" << ms.bytes
-         << " budget_high_water=" << ms.high_water
-         << " pool_entries=" << ps.entries << " pool_bytes=" << ps.bytes
-         << " pool_shared_refs=" << ps.shared_refs
-         << " batches_formed=" << bs.batches_formed
-         << " batched_requests=" << bs.batched_requests
-         << " fused_requests=" << bs.fused_requests
-         << " fused_kernels=" << bs.fused_kernels
-         << " batch_occupancy=" << bs.mean_occupancy();
-      conn.send(encode_stats_reply(frame.corr, os.str()));
+      conn.send(encode_stats_reply(frame.corr, metrics().render_kv()));
       return;
     }
     case FrameType::kResult:
@@ -508,6 +496,7 @@ void NetServer::reap_connections() {
     if (loop_.contains(conn.fd())) loop_.remove(conn.fd());
     it = conns_.erase(it);
   }
+  open_connections_ = conns_.size();
 }
 
 void NetServer::refresh_interest(Connection& conn) {

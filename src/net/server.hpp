@@ -49,6 +49,7 @@
 #include "net/errors.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
+#include "util/metrics.hpp"
 #include "util/ordered_mutex.hpp"
 #include "service/inference_service.hpp"
 #include "service/request_stream.hpp"
@@ -59,14 +60,10 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral: the kernel picks; port() reports the bound port.
   std::uint16_t port = 0;
-  int backlog = 64;
   std::size_t max_connections = 256;
   /// A connection whose partial frame makes no progress for this long is
   /// closed (slow-loris defense). 0 disables the timeout.
   std::int64_t frame_timeout_ms = 2000;
-  /// Poll tick while requests are in flight: bounds the added completion
-  /// -> RESULT latency.
-  int completion_poll_ms = 1;
 };
 
 /// Loop-thread counters, snapshot via NetServer::stats().
@@ -101,6 +98,10 @@ class NetServer {
 
   std::uint16_t port() const { return port_; }
   NetServerStats stats() const;
+  /// Open connections and every NetServerStats field, then the service's
+  /// InferenceService::metrics(): the list the wire STATS_REPLY renders.
+  /// Safe from any thread.
+  Metrics metrics() const;
 
  private:
   struct Pending {
@@ -138,6 +139,8 @@ class NetServer {
 
   // ---- loop-thread-confined state ----
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  /// conns_.size(), published by the loop thread for metrics().
+  std::atomic<std::size_t> open_connections_{0};
   std::uint64_t next_conn_id_ = 1;
   /// In-flight requests, keyed by service RequestId. corr -> RequestId
   /// lives per connection in corr_index_ for POLL/CANCEL lookup.

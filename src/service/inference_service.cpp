@@ -43,17 +43,12 @@ ServiceOptions default_engine_options() {
   opts.plan_store_capacity = parse_env_size("DYNASPARSE_PLAN_STORE", 0);
   if (const char* dir = env_text("DYNASPARSE_PLAN_STORE_DIR"))
     opts.plan_store_dir = dir;
-  // Deadline knob for submitted requests; run_inference routes through
-  // run_one, which is never deadline-bounded.
-  opts.default_deadline_ms = parse_env_duration_ms("DYNASPARSE_DEADLINE_MS", 0);
-  // Continuous batching (off by default). The window is a bare integer in
-  // MICROSECONDS — batching windows live well under a millisecond, so the
-  // duration parser's ms unit would be the wrong default here.
-  opts.batch_window_us = static_cast<std::int64_t>(
-      parse_env_size("DYNASPARSE_BATCH_WINDOW_US", 0));
-  opts.max_batch_size = parse_env_size("DYNASPARSE_BATCH_MAX", 0);
   return opts;
 }
+
+/// Byte weight of the compile and tile-pool tiers, and the compile
+/// cache's private byte ceiling while no memory budget is set.
+constexpr std::size_t kCompileTierBytes = std::size_t{512} << 20;
 
 /// The PlanStore for `opts`, or null when plan reuse is disabled. Plans
 /// are small (kilobytes against the caches' megabytes), so their tier
@@ -83,6 +78,20 @@ ServiceOptions validate_and_resolve(ServiceOptions o) {
   if (o.workers == 0) o.workers = std::min(parallel_hardware_threads(), 16);
   o.workers = std::max(o.workers, 1);
   return o;
+}
+
+/// One cache tier's KeyedCacheStats under `prefix`.
+void add_cache_metrics(Metrics& m, const std::string& prefix,
+                       const KeyedCacheStats& s) {
+  m.counter(prefix + "hits", s.hits);
+  m.counter(prefix + "misses", s.misses);
+  m.counter(prefix + "evictions", s.evictions);
+  m.counter(prefix + "inflight_joins", s.inflight_joins);
+  m.counter(prefix + "aborted_retries", s.aborted_retries);
+  m.counter(prefix + "pinned_skips", s.pinned_skips);
+  m.counter(prefix + "entries", s.entries);
+  m.counter(prefix + "bytes", s.bytes);
+  m.counter(prefix + "shared_refs", s.shared_refs);
 }
 
 /// Tighter of two caps where 0 means "uncapped".
@@ -149,13 +158,13 @@ InferenceService::InferenceService(ServiceOptions options)
       // off and the byte knobs act as tier weights instead.
       tile_pool_(std::make_shared<TilePool>(
           options_.tile_pool_capacity,
-          budget_->register_tier(
-              "tile_pool", static_cast<double>(options_.compilation_cache_bytes)))),
+          budget_->register_tier("tile_pool",
+                                 static_cast<double>(kCompileTierBytes)))),
       plan_store_(make_plan_store(options_, *budget_)),
       cache_(options_.cache_capacity, plan_store_,
-             options_.memory_budget_bytes > 0 ? 0 : options_.compilation_cache_bytes,
-             budget_->register_tier(
-                 "compile", static_cast<double>(options_.compilation_cache_bytes)),
+             options_.memory_budget_bytes > 0 ? 0 : kCompileTierBytes,
+             budget_->register_tier("compile",
+                                    static_cast<double>(kCompileTierBytes)),
              tile_pool_),
       result_cache_(options_.result_cache_capacity,
                     options_.memory_budget_bytes > 0 ? 0 : options_.result_cache_bytes,
@@ -685,6 +694,74 @@ BatchStats InferenceService::batch_stats() const {
 RobustnessStats InferenceService::robustness_stats() const {
   std::lock_guard<OrderedMutex> lk(slots_mu_);
   return robust_;
+}
+
+Metrics InferenceService::metrics() const {
+  Metrics m;
+  add_cache_metrics(m, "cache_", cache_stats());
+  add_cache_metrics(m, "result_cache_", result_cache_stats());
+
+  const PlanStoreStats ps = plan_store_stats();
+  m.counter("plan_hits", ps.hits);
+  m.counter("plan_misses", ps.misses);
+  m.counter("plan_inflight_joins", ps.inflight_joins);
+  m.counter("plan_aborted_retries", ps.aborted_retries);
+  m.counter("plan_entries", ps.entries);
+  m.counter("plan_evictions", ps.evictions);
+  m.counter("plan_bytes", ps.bytes);
+  m.counter("plan_planned", ps.planned);
+  m.counter("plan_seeded", ps.seeded);
+  m.counter("plan_seeded_exact", ps.seeded_exact);
+  m.counter("plan_rejected", ps.rejected);
+  m.counter("plan_disk_hits", ps.disk_hits);
+  m.counter("plan_disk_writes", ps.disk_writes);
+  m.counter("plan_disk_errors", ps.disk_errors);
+  m.gauge("plan_planning_ms", ps.planning_ms);
+
+  add_cache_metrics(m, "pool_", tile_pool_stats());
+
+  const MemoryBudgetStats bs = memory_budget_stats();
+  m.counter("budget_limit", static_cast<std::int64_t>(bs.limit_bytes));
+  m.counter("budget_bytes", bs.bytes);
+  m.counter("budget_high_water", bs.high_water);
+  m.counter("budget_rebalances", bs.rebalances);
+  for (const MemoryTierStats& t : bs.tiers) {
+    const std::string prefix = "budget_" + t.name + "_";
+    m.counter(prefix + "bytes", t.bytes);
+    m.counter(prefix + "high_water", t.high_water);
+    m.counter(prefix + "shrinks", t.shrinks);
+  }
+
+  const AdmissionStats as = admission_stats();
+  const RobustnessStats rs = robustness_stats();
+  const BatchStats bt = batch_stats();
+  m.counter("admission_accepted", as.accepted);
+  m.counter("admission_rejected", as.rejected);
+  m.counter("admission_shed", as.shed);
+  m.counter("cancelled", rs.cancelled);
+  m.counter("expired_in_queue", rs.expired_in_queue);
+  m.counter("expired_running", rs.expired_running);
+  m.counter("execution_failures", rs.execution_failures);
+  m.counter("batches_formed", bt.batches_formed);
+  m.counter("batched_requests", bt.batched_requests);
+  m.counter("fused_batches", bt.fused_batches);
+  m.counter("fused_requests", bt.fused_requests);
+  m.counter("fused_kernels", bt.fused_kernels);
+  m.gauge("batch_mean_occupancy", bt.mean_occupancy());
+
+  const PoolStats tp = parallel_pool_stats();
+  m.counter("threads_spawned", tp.threads);
+  m.counter("threads_jobs", tp.jobs);
+  m.counter("threads_chunks", tp.chunks);
+  m.counter("threads_chunks_stolen", tp.chunks_stolen);
+
+  for (const auto& [site, st] : FaultInjector::global().all_stats()) {
+    std::string prefix = "fault_" + site + "_";
+    std::replace(prefix.begin(), prefix.end(), '.', '_');
+    m.counter(prefix + "evaluations", st.evaluations);
+    m.counter(prefix + "injected", st.injected);
+  }
+  return m;
 }
 
 bool InferenceService::cancel(RequestId id) {

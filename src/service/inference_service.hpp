@@ -68,12 +68,12 @@
 // blocked submit wakes and resolves cleanly when the queue closes.
 //
 // Deadlines + cancellation: a request may carry a relative deadline
-// (ServiceRequest::deadline_ms; ServiceOptions::default_deadline_ms and
-// DYNASPARSE_DEADLINE_MS supply a service-wide default) and may be
-// aborted with cancel(id). Both resolve through one per-slot
-// CancellationSource (util/cancellation.hpp) whose token is threaded
-// down the compile/execute pipeline and checked at stage, planner-loop,
-// and kernel boundaries. A queued request whose deadline passes is
+// (ServiceRequest::deadline_ms; ServiceOptions::default_deadline_ms
+// supplies a service-wide default) and may be aborted with cancel(id).
+// Both resolve through one per-slot CancellationSource
+// (util/cancellation.hpp) whose token is threaded down the
+// compile/execute pipeline and checked at stage, planner-loop, and
+// kernel boundaries. A queued request whose deadline passes is
 // failed at dequeue with DeadlineExceededError before any compile work
 // (the expired_in_queue stat counts these); a running one aborts at the
 // next check. Aborts only ever abort: a request that completes is
@@ -122,6 +122,7 @@
 #include "util/blocking_queue.hpp"
 #include "service/errors.hpp"
 #include "util/cancellation.hpp"
+#include "util/metrics.hpp"
 #include "util/ordered_mutex.hpp"
 
 namespace dynasparse {
@@ -252,21 +253,14 @@ struct ServiceOptions {
   /// ONE process-wide byte budget spanning every reuse tier — tile pool,
   /// plan store, compilation cache, result cache (util/memory_budget.hpp).
   /// 0 (default) keeps the pre-budget behavior: each tier enforces its
-  /// own private byte ceiling and the budget only tracks totals and
-  /// high-water stats. > 0: the private ceilings switch off, the
-  /// per-tier byte knobs (compilation_cache_bytes, result_cache_bytes)
-  /// become soft WEIGHTS deciding each tier's fair share, and crossing
-  /// the limit triggers weighted cross-tier eviction. The invariant is
-  /// "quiesced total <= limit" — a charge may transiently overshoot
-  /// until the rebalance it requests runs.
+  /// own private byte ceiling (512 MiB of compiled programs,
+  /// result_cache_bytes of reports) and the budget only tracks totals
+  /// and high-water stats. > 0: the private ceilings switch off, the
+  /// same byte figures become soft WEIGHTS deciding each tier's fair
+  /// share, and crossing the limit triggers weighted cross-tier eviction.
+  /// The invariant is "quiesced total <= limit" — a charge may
+  /// transiently overshoot until the rebalance it requests runs.
   std::size_t memory_budget_bytes = 0;
-  /// Approximate byte bound for resident compiled programs
-  /// (CompiledProgram::approx_footprint_bytes; pooled operands counted
-  /// in the tile pool instead). Private LRU ceiling while
-  /// memory_budget_bytes is 0 (0 = count-only LRU); the compile tier's
-  /// weight under a budget. Also the tile-pool tier's weight — the pool
-  /// holds what programs used to.
-  std::size_t compilation_cache_bytes = 512u << 20;
   /// TilePool capacity in pooled operands (src/matrix/tile_pool.hpp):
   /// programs compiled from the same dataset under the same partition
   /// geometry share one immutable copy of the reorganized adjacency/H0
@@ -314,10 +308,8 @@ struct ServiceOptions {
   std::string plan_store_dir;
   /// Default relative deadline for submitted requests, in milliseconds.
   /// 0 = none (the pre-deadline behavior). A request's own deadline_ms,
-  /// when set, wins. DYNASPARSE_DEADLINE_MS supplies this for the
-  /// process-default service. run_one() is never deadline-bounded — it
-  /// executes synchronously for a caller that is, by construction, still
-  /// waiting.
+  /// when set, wins. run_one() is never deadline-bounded — it executes
+  /// synchronously for a caller that is, by construction, still waiting.
   std::int64_t default_deadline_ms = 0;
   /// Fault-injection spec (util/fault_injection.hpp grammar, e.g.
   /// "plan_store.disk_read:0.3,seed:7"). Non-empty: the constructor arms
@@ -333,13 +325,11 @@ struct ServiceOptions {
   /// reports bit-identical to running alone. 0 (default) with
   /// max_batch_size <= 1 disables batching entirely: workers pop one job
   /// at a time, each a batch of one. Negative values are rejected.
-  /// DYNASPARSE_BATCH_WINDOW_US supplies this for the process default.
   std::int64_t batch_window_us = 0;
   /// Release a collecting group as soon as it reaches this many members
   /// (the K cutoff). 0 with a positive window = unlimited (the window
   /// alone decides); values > 1 enable batching even with window 0
   /// (opportunistic fusion of already-queued bursts, no added latency).
-  /// DYNASPARSE_BATCH_MAX supplies this for the process default.
   std::size_t max_batch_size = 0;
 };
 
@@ -441,6 +431,14 @@ class InferenceService {
   RobustnessStats robustness_stats() const;
   /// Continuous-batching counters; all zero while batching is off.
   BatchStats batch_stats() const;
+  /// Every field of the stats above, named, in one fixed order: the
+  /// compile, result and tile-pool caches (`cache_`, `result_cache_`,
+  /// `pool_`), the plan store (`plan_`, zeros while disabled), the memory
+  /// budget and each registered tier (`budget_`, `budget_<tier>_`),
+  /// admission (`admission_`), robustness, batching, the shared thread
+  /// pool (`threads_`) and each armed fault site (`fault_<site>_`, dots
+  /// as underscores). Every stats output renders this list.
+  Metrics metrics() const;
   /// Resolved options: workers is the effective worker count (never 0).
   const ServiceOptions& options() const { return options_; }
 
@@ -457,12 +455,9 @@ class InferenceService {
   /// DYNASPARSE_MEM_BUDGET (bytes; "512m"/"2g" suffixes) sets the
   /// process-wide memory budget across all tiers, and
   /// DYNASPARSE_TILE_POOL=N sizes the shared operand pool (0 disables
-  /// operand sharing).
-  /// DYNASPARSE_DEADLINE_MS (a duration: "250", "250ms", "1.5s") sets
-  /// default_deadline_ms for submitted requests; run_inference routes
-  /// through run_one and stays deadline-free. All integer knobs parse
-  /// strictly (util/strict_parse.hpp): a malformed value logs a warning
-  /// and keeps the default instead of being silently ignored or misread.
+  /// operand sharing). All integer knobs parse strictly
+  /// (util/strict_parse.hpp): a malformed value logs a warning and keeps
+  /// the default instead of being silently ignored or misread.
   /// (DYNASPARSE_FAULT_SPEC arms the global fault injector directly —
   /// see util/fault_injection.hpp — not through these options.)
   static InferenceService& process_default();

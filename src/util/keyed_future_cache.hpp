@@ -15,8 +15,9 @@
 //     shrink or clear(). Dropping it would free nothing, credit the
 //     budget for bytes that stay resident, and make the next request for
 //     the key build a second copy. Each skip counts in pinned_skips; the
-//     entry leaves on a later pass once its last holder lets go. For this
-//     to count only real holders, an entry keeps its ready value beside
+//     entry leaves on a later pass once its last holder lets go (every
+//     fill and every ready hit runs one while a bound is exceeded). For
+//     this to count only real holders, an entry keeps its ready value beside
 //     the fill future and drops the future once the value is published
 //     (the future's shared state holds a value copy of its own);
 //   - shared-budget accounting: with a MemoryBudget tier attached, every
@@ -153,7 +154,13 @@ class KeyedFutureCache {
         if (it != entries_.end()) {
           ++stats_.hits;
           touch(it->second);
-          if (it->second.ready) return it->second.value;
+          if (it->second.ready) {
+            // Copy first, so the hit entry counts as held; then let the
+            // pass evict what an earlier holder pinned over the bounds.
+            std::shared_ptr<const V> value = it->second.value;
+            evict_to_bounds_locked();
+            return value;
+          }
           ++stats_.inflight_joins;
           pending = it->second.pending;
         } else {
@@ -216,9 +223,7 @@ class KeyedFutureCache {
               if (tier_) need_rebalance = tier_->charge(bytes);
             }
           }
-          evict_locked(max_entries_, max_bytes_ > 0
-                                         ? static_cast<std::int64_t>(max_bytes_)
-                                         : kNoByteBound);
+          evict_to_bounds_locked();
         }
         // Cross-tier pressure runs with no cache lock held: the budget's
         // shrinkers re-enter caches (this one included) through
@@ -333,6 +338,15 @@ class KeyedFutureCache {
   void touch(Entry& e) {
     lru_.splice(lru_.end(), lru_, e.lru_pos);
     e.lru_pos = std::prev(lru_.end());
+  }
+
+  /// The eviction pass against this cache's own bounds (count and private
+  /// bytes), run after every fill and every ready hit; mu_ held. A no-op
+  /// unless a bound is exceeded.
+  void evict_to_bounds_locked() {
+    evict_locked(max_entries_, max_bytes_ > 0
+                                   ? static_cast<std::int64_t>(max_bytes_)
+                                   : kNoByteBound);
   }
 
   /// The one eviction pass: drop ready, unheld entries LRU-first while

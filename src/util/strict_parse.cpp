@@ -189,16 +189,4 @@ std::int64_t parse_duration_ms(const std::string& v) {
   return ms;
 }
 
-std::int64_t parse_env_duration_ms(const char* name, std::int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (!env || *env == '\0') return fallback;
-  try {
-    return parse_duration_ms(env);
-  } catch (const std::exception&) {
-    log_warn(name, "=\"", env, "\" is not a duration; using default ",
-             fallback, " ms");
-    return fallback;
-  }
-}
-
 }  // namespace dynasparse

@@ -82,9 +82,4 @@ std::size_t parse_env_size_bytes(const char* name, std::size_t fallback,
 /// suffixes, partial tokens — the strict_stoi discipline).
 std::int64_t parse_duration_ms(const std::string& v);
 
-/// parse_env_int-style duration knob (e.g. DYNASPARSE_DEADLINE_MS): unset
-/// or empty returns `fallback` silently; set but malformed logs one
-/// warning and returns `fallback`.
-std::int64_t parse_env_duration_ms(const char* name, std::int64_t fallback);
-
 }  // namespace dynasparse

@@ -19,6 +19,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -322,6 +324,58 @@ TEST(NetService, UnknownAndInvalidRequestsAreTyped) {
        {"budget_limit=", "budget_bytes=", "budget_high_water=", "pool_entries=",
         "pool_bytes=", "pool_shared_refs="})
     EXPECT_NE(stats.find(key), std::string::npos) << key;
+  server.stop();
+}
+
+TEST(NetService, StatsReplyRendersEveryMetric) {
+  ServiceOptions opts;
+  opts.result_cache_capacity = 4;
+  opts.plan_store_capacity = 4;
+  InferenceService service(opts);
+  NetServer server(service);
+  server.start();
+  NetClient client("127.0.0.1", server.port(), kClientTimeoutMs);
+  ASSERT_TRUE(
+      client.await(client.submit(spec_of("CI", GnnModelKind::kGcn, 3))).ok);
+
+  // The reply is exactly NetServer::metrics(): the same names in the same
+  // order, each once, with equal counter values. A worker may still drop
+  // its references (the *_shared_refs gauges) just after its RESULT went
+  // out, so the snapshots are compared once the service has settled.
+  std::vector<std::pair<std::string, std::string>> reply;
+  Metrics expected;
+  auto settled = [&] {
+    reply.clear();
+    std::istringstream tokens(client.stats());
+    for (std::string tok; tokens >> tok;) {
+      const std::size_t eq = tok.find('=');
+      reply.emplace_back(tok.substr(0, eq),
+                         eq == std::string::npos ? "" : tok.substr(eq + 1));
+    }
+    expected = server.metrics();
+    if (reply.size() != expected.list().size()) return false;
+    for (std::size_t i = 0; i < reply.size(); ++i) {
+      const Metrics::Metric& m = expected.list()[i];
+      const auto* count = std::get_if<std::int64_t>(&m.value);
+      if (reply[i].first != m.name ||
+          (count && reply[i].second != std::to_string(*count)))
+        return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(eventually(settled));
+  ASSERT_EQ(reply.size(), expected.list().size());
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < reply.size(); ++i) {
+    const Metrics::Metric& m = expected.list()[i];
+    EXPECT_EQ(reply[i].first, m.name) << i;
+    EXPECT_TRUE(seen.insert(m.name).second) << m.name << " listed twice";
+    if (const auto* count = std::get_if<std::int64_t>(&m.value))
+      EXPECT_EQ(reply[i].second, std::to_string(*count)) << m.name;
+  }
+  // The memo and plan tiers reach the wire too.
+  EXPECT_TRUE(seen.count("result_cache_misses"));
+  EXPECT_TRUE(seen.count("plan_planned"));
   server.stop();
 }
 

@@ -19,6 +19,7 @@
 #include "util/keyed_future_cache.hpp"
 #include "util/logging.hpp"
 #include "util/math_util.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/random.hpp"
@@ -470,16 +471,6 @@ TEST(ParseDurationTest, BareMillisecondsSuffixesAndFractions) {
   EXPECT_THROW(parse_duration_ms("1.5ms"), std::invalid_argument);
 }
 
-TEST(ParseDurationTest, EnvVariantFallsBackOnMalformed) {
-  unsetenv("DYNASPARSE_TEST_DURATION");
-  EXPECT_EQ(parse_env_duration_ms("DYNASPARSE_TEST_DURATION", 7), 7);
-  setenv("DYNASPARSE_TEST_DURATION", "1.5s", 1);
-  EXPECT_EQ(parse_env_duration_ms("DYNASPARSE_TEST_DURATION", 7), 1500);
-  setenv("DYNASPARSE_TEST_DURATION", "nope", 1);
-  EXPECT_EQ(parse_env_duration_ms("DYNASPARSE_TEST_DURATION", 7), 7);
-  unsetenv("DYNASPARSE_TEST_DURATION");
-}
-
 TEST(ParseSizeTest, SuffixesCaseAndBareMultiplier) {
   EXPECT_EQ(parse_size_bytes("1024"), 1024u);
   EXPECT_EQ(parse_size_bytes("512b"), 512u);
@@ -693,6 +684,53 @@ TEST(KeyedFutureCacheTest, AbortedLeaderHandsOffToJoiner) {
   std::shared_ptr<const int> v = cache.peek(1);
   ASSERT_TRUE(v);
   EXPECT_EQ(*v, 42);
+}
+
+TEST(KeyedFutureCacheTest, OverBoundEntriesLeaveOnTheNextHitOnceReleased) {
+  // Key 2 fills while key 1 is held, so the fill's pass must skip key 1
+  // and the cache stays one over its bound. Once both holders let go, a
+  // hit alone (no further miss) brings the cache back under the bound.
+  KeyedFutureCache<int, int> cache(1);
+  auto make = [](int v) {
+    return [v] { return std::make_shared<const int>(v); };
+  };
+  std::shared_ptr<const int> one = cache.get_or_make(1, make(1));
+  std::shared_ptr<const int> two = cache.get_or_make(2, make(2));
+  EXPECT_EQ(cache.stats().entries, 2);
+  one.reset();
+  two.reset();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(*cache.get_or_make(2, make(-1)), 2);
+
+  KeyedCacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 1);
+  EXPECT_EQ(s.evictions, 1);
+  EXPECT_EQ(s.misses, 2);
+  EXPECT_EQ(s.hits, 3);
+  EXPECT_EQ(cache.peek(1), nullptr);
+}
+
+TEST(MetricsTest, CountersPrintAsIntegersAndJsonHasNoTrailingComma) {
+  Metrics m;
+  m.counter("pool_bytes", 30207552);
+  m.gauge("batch_mean_occupancy", 3.75);
+  m.counter("cancelled", 0);
+  EXPECT_EQ(m.render_kv(),
+            "pool_bytes=30207552 batch_mean_occupancy=3.75 cancelled=0");
+  EXPECT_EQ(m.render_json(),
+            "{\n"
+            "  \"pool_bytes\": 30207552,\n"
+            "  \"batch_mean_occupancy\": 3.75,\n"
+            "  \"cancelled\": 0\n"
+            "}\n");
+
+  Metrics all;
+  all.counter("port", 7411);
+  all.append(m);
+  ASSERT_EQ(all.list().size(), 4u);
+  EXPECT_EQ(all.list()[0].name, "port");
+  EXPECT_EQ(all.list()[3].name, "cancelled");
+  EXPECT_EQ(Metrics().render_kv(), "");
+  EXPECT_EQ(Metrics().render_json(), "{\n}\n");
 }
 
 }  // namespace

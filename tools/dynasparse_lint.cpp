@@ -30,6 +30,14 @@
 //                        every reuse tier wraps that one cache core
 //                        instead of re-implementing its fill protocol
 //                        (in-flight dedup, hand-off, held-entry eviction).
+//   [stats-keys]         Inside src/net/ and tools/dynasparse_serve.cpp, no
+//                        string literal spells a stats key — a lowercase
+//                        identifier followed by `=` (" cache_hits=") or a
+//                        JSON key ("\"cache_hits\": "). Counters are named
+//                        once, in InferenceService::metrics() and
+//                        NetServer::metrics(), and every output renders
+//                        that list (util/metrics.hpp) instead of typing
+//                        its own copy.
 //
 // A finding can be waived per line with `// dynasparse-lint: allow(rule)`
 // — the annotation is the audit trail.
@@ -51,6 +59,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -295,6 +304,31 @@ void check_cache_core(const FileView& f, std::vector<Finding>& out) {
   }
 }
 
+// ---- rule: stats-keys ------------------------------------------------------
+
+void check_stats_keys(const FileView& f, std::vector<Finding>& out) {
+  if (!starts_with(f.rel, "src/net/") && f.rel != "tools/dynasparse_serve.cpp")
+    return;
+  // `name=` (not `==`) or `\"name\":`, name a lowercase identifier.
+  static const std::regex kKey(
+      R"re(\b([a-z][a-z0-9_]*)=(?!=)|\\"([a-z][a-z0-9_]*)\\":)re");
+  for (std::size_t i = 0; i < f.code.size(); ++i) {
+    if (allow_marker(f.raw[i], "stats-keys")) continue;
+    // String-literal text only: the characters the no-strings view blanked.
+    std::string lit = f.code[i];
+    for (std::size_t c = 0; c < lit.size() && c < f.code_nostr[i].size(); ++c)
+      if (lit[c] == f.code_nostr[i][c]) lit[c] = ' ';
+    for (std::sregex_iterator m(lit.begin(), lit.end(), kKey), end; m != end;
+         ++m)
+      out.push_back({f.rel, static_cast<long>(i + 1), "stats-keys",
+                     "string literal spells the stats key '" +
+                         ((*m)[1].matched ? (*m)[1] : (*m)[2]).str() +
+                         "'; name it in InferenceService::metrics() or "
+                         "NetServer::metrics() and render that list "
+                         "(util/metrics.hpp)"});
+  }
+}
+
 // ---- rule: fault-site ------------------------------------------------------
 
 std::set<std::string> load_fault_registry(const fs::path& root, bool* found) {
@@ -488,6 +522,7 @@ std::vector<Finding> lint_tree(const fs::path& root) {
     check_raw_parse(f, findings);
     check_error_taxonomy(f, findings);
     check_cache_core(f, findings);
+    check_stats_keys(f, findings);
     if (registry_found) check_fault_sites(f, registry, findings);
   }
 

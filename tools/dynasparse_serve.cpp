@@ -68,24 +68,29 @@
 //                     grammar, e.g. "plan_store.disk_read:0.3,seed:7")
 //   --warm            pre-compile every unique request before timing
 //   --seed S          seed for the synthetic workload     (default 2023)
-//   --baseline        also run the sequential uncached run_inference-style
-//                     loop and report the speedup against it
-//   --json PATH       write the metrics as JSON
+//   --baseline        also time the sequential uncached run_inference-style
+//                     loop (sequential_wall_ms)
+//   --json PATH       write the metrics as JSON, one "name": value per line
+//
+// Output: one `stats:` line of name=value tokens — serve's own run
+// numbers (requests, completed, wall time, throughput, p50/p99, mean
+// simulated latency, the sequential baseline; `port` in listen mode)
+// followed by InferenceService::metrics() (and NetServer::metrics() in
+// listen mode). --json writes the same list.
 //
 // Requests are submitted asynchronously up front; per-request latency is
 // submit->completion (includes queueing), the honest serving number.
 // Under --admission reject/shed some requests resolve as admission
 // rejections; under --deadline-ms / --cancel-after / --fault some resolve
-// as deadline expiries, cancellations, or execution failures. Every
-// non-completed outcome is counted by its type (the service's closed
-// error taxonomy) and excluded from the latency percentiles; under block
+// as deadline expiries, cancellations, or execution failures. The service
+// counts each non-completed outcome by its type (the closed error
+// taxonomy); they are excluded from the latency percentiles. Under block
 // the submit loop itself is backpressured.
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -119,6 +124,16 @@ double percentile(const std::vector<double>& sorted_ms, double p) {
   std::size_t hi = std::min(lo + 1, sorted_ms.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return sorted_ms[lo] * (1.0 - frac) + sorted_ms[hi] * frac;
+}
+
+/// Print `m` as the `stats:` line and, with --json, write it to `path`.
+void report(const Metrics& m, const std::string& path) {
+  std::printf("stats: %s\n", m.render_kv().c_str());
+  if (path.empty()) return;
+  std::ofstream f(path);
+  if (!f) usage("cannot write --json file");
+  f << m.render_json();
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -248,31 +263,6 @@ int main(int argc, char** argv) {
   InferenceService service(opts);
   std::printf("service: %d workers, intra-op cap %d (0 = shared pool)\n",
               service.options().workers, service.options().intra_op_threads);
-  if (memoize > 0)
-    std::printf("memoization: up to %zu reports / %zu MiB\n", memoize, memoize_mb);
-  if (max_queue > 0)
-    std::printf("admission: queue depth %zu, policy %s\n", max_queue,
-                admission_policy_name(admission));
-  if (plan_store > 0)
-    std::printf("plan store: up to %zu plans%s%s\n", plan_store,
-                plan_store_dir.empty() ? "" : ", disk tier ",
-                plan_store_dir.c_str());
-  if (mem_budget > 0)
-    std::printf("memory budget: %.1f MiB shared across cache tiers\n",
-                static_cast<double>(mem_budget) / (1024.0 * 1024.0));
-  if (tile_pool > 0)
-    std::printf("tile pool: up to %zu shared operand entries\n", tile_pool);
-  if (deadline_ms > 0)
-    std::printf("deadline: %lld ms per request (default)\n",
-                static_cast<long long>(deadline_ms));
-  if (batch_window_us > 0 || batch_max > 1)
-    std::printf("batching: window %d us, max %zu per batch (0 = unlimited)\n",
-                batch_window_us, batch_max);
-  if (cancel_after_ms >= 0)
-    std::printf("cancellation: cancelling outstanding requests %lld ms after submit\n",
-                static_cast<long long>(cancel_after_ms));
-  if (!fault_spec.empty())
-    std::printf("fault injection: %s\n", fault_spec.c_str());
 
   if (listen_port >= 0) {
     NetServerOptions net;
@@ -298,86 +288,10 @@ int main(int argc, char** argv) {
     server.stop();
     service.shutdown();
 
-    NetServerStats ns = server.stats();
-    CacheStats cs = service.cache_stats();
-    RobustnessStats rs = service.robustness_stats();
-    AdmissionStats as = service.admission_stats();
-    BatchStats bs = service.batch_stats();
-    MemoryBudgetStats ms = service.memory_budget_stats();
-    TilePoolStats ps = service.tile_pool_stats();
-    std::printf(
-        "net: %lld accepted / %lld refused, %lld frames, %lld submits, "
-        "%lld results, %lld errors, %lld protocol errors, %lld timeouts, "
-        "%lld disconnect cancels\n",
-        static_cast<long long>(ns.accepted), static_cast<long long>(ns.refused),
-        static_cast<long long>(ns.frames), static_cast<long long>(ns.submits),
-        static_cast<long long>(ns.results),
-        static_cast<long long>(ns.errors_sent),
-        static_cast<long long>(ns.protocol_errors),
-        static_cast<long long>(ns.timeouts),
-        static_cast<long long>(ns.disconnect_cancels));
-    std::printf(
-        "service: cache %lld hits / %lld misses; admission %lld accepted / "
-        "%lld rejected / %lld shed; %lld cancelled, %lld+%lld expired, %lld "
-        "failed\n",
-        static_cast<long long>(cs.hits), static_cast<long long>(cs.misses),
-        static_cast<long long>(as.accepted), static_cast<long long>(as.rejected),
-        static_cast<long long>(as.shed), static_cast<long long>(rs.cancelled),
-        static_cast<long long>(rs.expired_in_queue),
-        static_cast<long long>(rs.expired_running),
-        static_cast<long long>(rs.execution_failures));
-    if (batch_window_us > 0 || batch_max > 1)
-      std::printf(
-          "batching: %lld batches / %lld requests (%.2f mean occupancy), "
-          "%lld fused requests, %lld fused kernels\n",
-          static_cast<long long>(bs.batches_formed),
-          static_cast<long long>(bs.batched_requests), bs.mean_occupancy(),
-          static_cast<long long>(bs.fused_requests),
-          static_cast<long long>(bs.fused_kernels));
-    std::printf(
-        "memory: %lld bytes resident (high water %lld, limit %zu); tile pool "
-        "%lld entries / %lld bytes, %lld shared refs\n",
-        static_cast<long long>(ms.bytes), static_cast<long long>(ms.high_water),
-        ms.limit_bytes, static_cast<long long>(ps.entries),
-        static_cast<long long>(ps.bytes), static_cast<long long>(ps.shared_refs));
-    if (!json_path.empty()) {
-      std::ofstream f(json_path);
-      if (!f) usage("cannot write --json file");
-      f << "{\n"
-        << "  \"mode\": \"listen\",\n"
-        << "  \"port\": " << server.port() << ",\n"
-        << "  \"accepted\": " << ns.accepted << ",\n"
-        << "  \"refused\": " << ns.refused << ",\n"
-        << "  \"frames\": " << ns.frames << ",\n"
-        << "  \"submits\": " << ns.submits << ",\n"
-        << "  \"results\": " << ns.results << ",\n"
-        << "  \"errors_sent\": " << ns.errors_sent << ",\n"
-        << "  \"protocol_errors\": " << ns.protocol_errors << ",\n"
-        << "  \"timeouts\": " << ns.timeouts << ",\n"
-        << "  \"disconnect_cancels\": " << ns.disconnect_cancels << ",\n"
-        << "  \"cache_hits\": " << cs.hits << ",\n"
-        << "  \"cache_misses\": " << cs.misses << ",\n"
-        << "  \"admission_accepted\": " << as.accepted << ",\n"
-        << "  \"admission_rejected\": " << as.rejected << ",\n"
-        << "  \"admission_shed\": " << as.shed << ",\n"
-        << "  \"cancelled\": " << rs.cancelled << ",\n"
-        << "  \"expired_in_queue\": " << rs.expired_in_queue << ",\n"
-        << "  \"expired_running\": " << rs.expired_running << ",\n"
-        << "  \"execution_failures\": " << rs.execution_failures << ",\n"
-        << "  \"batches_formed\": " << bs.batches_formed << ",\n"
-        << "  \"batched_requests\": " << bs.batched_requests << ",\n"
-        << "  \"fused_requests\": " << bs.fused_requests << ",\n"
-        << "  \"fused_kernels\": " << bs.fused_kernels << ",\n"
-        << "  \"batch_mean_occupancy\": " << bs.mean_occupancy() << ",\n"
-        << "  \"budget_limit\": " << ms.limit_bytes << ",\n"
-        << "  \"budget_bytes\": " << ms.bytes << ",\n"
-        << "  \"budget_high_water\": " << ms.high_water << ",\n"
-        << "  \"pool_entries\": " << ps.entries << ",\n"
-        << "  \"pool_bytes\": " << ps.bytes << ",\n"
-        << "  \"pool_shared_refs\": " << ps.shared_refs << "\n"
-        << "}\n";
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+    Metrics m;
+    m.counter("port", server.port());
+    m.append(server.metrics());
+    report(m, json_path);
     return 0;
   }
 
@@ -413,97 +327,24 @@ int main(int argc, char** argv) {
   std::vector<double> latencies_ms;
   latencies_ms.reserve(ids.size());
   double sim_latency_ms = 0.0;
-  std::size_t completed = 0, admission_rejected = 0, cancelled = 0,
-              deadline_expired = 0, execution_failed = 0;
+  std::size_t completed = 0;
   for (RequestId id : ids) {
     RequestTiming timing;
-    // The service's closed error taxonomy: every non-completed outcome is
-    // one of these four types, so an uncaught throw here is a bug.
+    // Any other outcome is one of the service's closed error taxonomy,
+    // which the service counts itself; an uncaught throw here is a bug.
     try {
       InferenceReport rep = service.wait(id, &timing);
       latencies_ms.push_back(timing.total_ms);
       sim_latency_ms += rep.latency_ms;
       ++completed;
-    } catch (const AdmissionRejectedError&) {
-      ++admission_rejected;  // refused under --max-queue reject/shed
-    } catch (const DeadlineExceededError&) {
-      ++deadline_expired;  // --deadline-ms / deadline_ms= expiry
-    } catch (const CancelledError&) {
-      ++cancelled;  // --cancel-after (or shutdown abort)
-    } catch (const ExecutionError&) {
-      ++execution_failed;  // compile/execute failure, incl. injected faults
+    } catch (const AdmissionRejectedError&) {  // --max-queue reject/shed
+    } catch (const RequestAbortedError&) {     // cancel or deadline
+    } catch (const ExecutionError&) {          // incl. injected faults
     }
   }
   if (canceller.joinable()) canceller.join();
-  double service_wall_ms = wall.elapsed_ms();
-
-  CacheStats cs = service.cache_stats();
-  ResultCacheStats rcs = service.result_cache_stats();
-  double throughput = static_cast<double>(completed) / (service_wall_ms / 1e3);
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  double p50 = percentile(latencies_ms, 50.0), p99 = percentile(latencies_ms, 99.0);
-  std::printf("wall %.1f ms  throughput %.2f req/s  p50 %.1f ms  p99 %.1f ms\n",
-              service_wall_ms, throughput, p50, p99);
-  if (max_queue > 0)
-    std::printf("admission: %zu completed, %zu rejected (policy %s)\n", completed,
-                admission_rejected, admission_policy_name(admission));
-  RobustnessStats rs = service.robustness_stats();
-  if (cancelled + deadline_expired + execution_failed > 0 ||
-      deadline_ms > 0 || cancel_after_ms >= 0 || !fault_spec.empty())
-    std::printf(
-        "robustness: %zu cancelled, %zu deadline-expired (%lld in queue / %lld "
-        "running), %zu failed\n",
-        cancelled, deadline_expired, static_cast<long long>(rs.expired_in_queue),
-        static_cast<long long>(rs.expired_running), execution_failed);
-  if (!fault_spec.empty()) {
-    for (const auto& [site, st] : FaultInjector::global().all_stats())
-      if (st.evaluations > 0)
-        std::printf("fault %s: injected %lld / %lld evaluations\n", site.c_str(),
-                    static_cast<long long>(st.injected),
-                    static_cast<long long>(st.evaluations));
-  }
-  std::printf("cache: %lld hits / %lld misses / %lld evictions (%lld in-flight joins)\n",
-              static_cast<long long>(cs.hits), static_cast<long long>(cs.misses),
-              static_cast<long long>(cs.evictions),
-              static_cast<long long>(cs.inflight_joins));
-  if (memoize > 0)
-    std::printf(
-        "result cache: %lld hits / %lld misses / %lld evictions, %lld reports "
-        "resident (~%.1f MiB)\n",
-        static_cast<long long>(rcs.hits), static_cast<long long>(rcs.misses),
-        static_cast<long long>(rcs.evictions), static_cast<long long>(rcs.entries),
-        static_cast<double>(rcs.bytes) / (1024.0 * 1024.0));
-  PlanStoreStats pss = service.plan_store_stats();
-  if (plan_store > 0)
-    std::printf(
-        "plan store: %lld planned / %lld seeded (%lld exact) / %lld disk hits, "
-        "%lld disk writes, %lld rejected, %lld disk errors, planning %.3f ms\n",
-        static_cast<long long>(pss.planned), static_cast<long long>(pss.seeded),
-        static_cast<long long>(pss.seeded_exact),
-        static_cast<long long>(pss.disk_hits),
-        static_cast<long long>(pss.disk_writes),
-        static_cast<long long>(pss.rejected),
-        static_cast<long long>(pss.disk_errors), pss.planning_ms);
-  BatchStats bs = service.batch_stats();
-  if (batch_window_us > 0 || batch_max > 1)
-    std::printf(
-        "batching: %lld batches / %lld requests (%.2f mean occupancy), %lld "
-        "fused requests, %lld fused kernels\n",
-        static_cast<long long>(bs.batches_formed),
-        static_cast<long long>(bs.batched_requests), bs.mean_occupancy(),
-        static_cast<long long>(bs.fused_requests),
-        static_cast<long long>(bs.fused_kernels));
-  MemoryBudgetStats ms = service.memory_budget_stats();
-  TilePoolStats ps = service.tile_pool_stats();
-  std::printf(
-      "memory: %lld bytes resident (high water %lld, limit %zu); tile pool "
-      "%lld entries / %lld bytes, %lld shared refs\n",
-      static_cast<long long>(ms.bytes), static_cast<long long>(ms.high_water),
-      ms.limit_bytes, static_cast<long long>(ps.entries),
-      static_cast<long long>(ps.bytes), static_cast<long long>(ps.shared_refs));
-  if (completed > 0)
-    std::printf("mean simulated accelerator latency %.3f ms/request\n",
-                sim_latency_ms / static_cast<double>(completed));
+  const double service_wall_ms = wall.elapsed_ms();
+  const Metrics service_metrics = service.metrics();
 
   double sequential_wall_ms = 0.0;
   if (baseline) {
@@ -515,67 +356,22 @@ int main(int argc, char** argv) {
       (void)run_compiled(prog, req.options.runtime);
     }
     sequential_wall_ms = sw.elapsed_ms();
-    std::printf("sequential uncached loop: %.1f ms  -> service speedup %.2fx\n",
-                sequential_wall_ms, sequential_wall_ms / service_wall_ms);
   }
 
-  if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    if (!f) usage("cannot write --json file");
-    f << "{\n"
-      << "  \"requests\": " << ids.size() << ",\n"
-      << "  \"completed\": " << completed << ",\n"
-      << "  \"admission_rejected\": " << admission_rejected << ",\n"
-      << "  \"cancelled\": " << cancelled << ",\n"
-      << "  \"deadline_expired\": " << deadline_expired << ",\n"
-      << "  \"execution_failed\": " << execution_failed << ",\n"
-      << "  \"expired_in_queue\": " << rs.expired_in_queue << ",\n"
-      << "  \"expired_running\": " << rs.expired_running << ",\n"
-      << "  \"deadline_ms\": " << deadline_ms << ",\n"
-      << "  \"fault_spec\": \"" << fault_spec << "\",\n"
-      << "  \"admission_policy\": \"" << admission_policy_name(admission) << "\",\n"
-      << "  \"max_queue_depth\": " << max_queue << ",\n"
-      << "  \"workers\": " << service.options().workers << ",\n"
-      << "  \"intra_op_threads\": " << service.options().intra_op_threads << ",\n"
-      << "  \"cache_capacity\": " << cache_capacity << ",\n"
-      << "  \"result_cache_capacity\": " << memoize << ",\n"
-      << "  \"wall_ms\": " << service_wall_ms << ",\n"
-      << "  \"throughput_req_per_s\": " << throughput << ",\n"
-      << "  \"latency_p50_ms\": " << p50 << ",\n"
-      << "  \"latency_p99_ms\": " << p99 << ",\n"
-      << "  \"cache_hits\": " << cs.hits << ",\n"
-      << "  \"cache_misses\": " << cs.misses << ",\n"
-      << "  \"cache_evictions\": " << cs.evictions << ",\n"
-      << "  \"result_cache_hits\": " << rcs.hits << ",\n"
-      << "  \"result_cache_misses\": " << rcs.misses << ",\n"
-      << "  \"result_cache_evictions\": " << rcs.evictions << ",\n"
-      << "  \"result_cache_bytes\": " << rcs.bytes << ",\n"
-      << "  \"plan_store_capacity\": " << plan_store << ",\n"
-      << "  \"plan_planned\": " << pss.planned << ",\n"
-      << "  \"plan_seeded\": " << pss.seeded << ",\n"
-      << "  \"plan_seeded_exact\": " << pss.seeded_exact << ",\n"
-      << "  \"plan_disk_hits\": " << pss.disk_hits << ",\n"
-      << "  \"plan_disk_writes\": " << pss.disk_writes << ",\n"
-      << "  \"plan_rejected\": " << pss.rejected << ",\n"
-      << "  \"plan_disk_errors\": " << pss.disk_errors << ",\n"
-      << "  \"plan_planning_ms\": " << pss.planning_ms << ",\n"
-      << "  \"budget_limit\": " << ms.limit_bytes << ",\n"
-      << "  \"budget_bytes\": " << ms.bytes << ",\n"
-      << "  \"budget_high_water\": " << ms.high_water << ",\n"
-      << "  \"pool_entries\": " << ps.entries << ",\n"
-      << "  \"pool_bytes\": " << ps.bytes << ",\n"
-      << "  \"pool_shared_refs\": " << ps.shared_refs << ",\n"
-      << "  \"batch_window_us\": " << batch_window_us << ",\n"
-      << "  \"batch_max\": " << batch_max << ",\n"
-      << "  \"batches_formed\": " << bs.batches_formed << ",\n"
-      << "  \"batched_requests\": " << bs.batched_requests << ",\n"
-      << "  \"fused_batches\": " << bs.fused_batches << ",\n"
-      << "  \"fused_requests\": " << bs.fused_requests << ",\n"
-      << "  \"fused_kernels\": " << bs.fused_kernels << ",\n"
-      << "  \"batch_mean_occupancy\": " << bs.mean_occupancy() << ",\n"
-      << "  \"sequential_wall_ms\": " << sequential_wall_ms << "\n"
-      << "}\n";
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  Metrics m;
+  m.counter("requests", static_cast<std::int64_t>(ids.size()));
+  m.counter("completed", static_cast<std::int64_t>(completed));
+  m.gauge("wall_ms", service_wall_ms);
+  m.gauge("throughput_req_per_s",
+          static_cast<double>(completed) / (service_wall_ms / 1e3));
+  m.gauge("latency_p50_ms", percentile(latencies_ms, 50.0));
+  m.gauge("latency_p99_ms", percentile(latencies_ms, 99.0));
+  m.gauge("mean_sim_latency_ms",
+          completed > 0 ? sim_latency_ms / static_cast<double>(completed)
+                        : 0.0);
+  m.gauge("sequential_wall_ms", sequential_wall_ms);
+  m.append(service_metrics);
+  report(m, json_path);
   return 0;
 }
