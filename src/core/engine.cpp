@@ -37,7 +37,7 @@ InferenceReport run_inference(const GnnModel& model, const Dataset& ds,
   // Routed through the process-default InferenceService: same compile +
   // execute path as batched serving, plus a small content-keyed
   // compilation cache so back-to-back calls over identical inputs skip
-  // preprocessing (DYNASPARSE_ENGINE_CACHE=0 restores always-recompile).
+  // preprocessing.
   // Runs synchronously on the calling thread; deterministic report fields
   // are unchanged from the pre-service behavior.
   return InferenceService::process_default().run_one(model, ds, options);

@@ -35,8 +35,8 @@ struct EngineOptions {
 ///
 /// Routed through the process-default InferenceService
 /// (service/inference_service.hpp): repeated calls over content-identical
-/// inputs reuse the CompiledProgram from a small LRU cache instead of
-/// recompiling (set DYNASPARSE_ENGINE_CACHE=0 to disable). For many
+/// inputs reuse the CompiledProgram from a small LRU cache (4 programs)
+/// instead of recompiling. For many
 /// requests, prefer InferenceService::run_batch / submit, which add
 /// concurrent execution on service workers.
 InferenceReport run_inference(const GnnModel& model, const Dataset& ds,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -11,7 +10,6 @@
 #include "service/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/parallel.hpp"
-#include "util/strict_parse.hpp"
 
 namespace dynasparse {
 
@@ -20,30 +18,6 @@ namespace {
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-ServiceOptions default_engine_options() {
-  // Every integer knob parses strictly (parse_env_size logs and keeps the
-  // default on a malformed value — never a silent misparse).
-  ServiceOptions opts;
-  opts.cache_capacity = parse_env_size("DYNASPARSE_ENGINE_CACHE", 4);
-  // Result memoization stays off unless explicitly enabled: run_inference
-  // callers did not opt into retaining output matrices.
-  opts.result_cache_capacity = parse_env_size("DYNASPARSE_RESULT_CACHE", 0);
-  // Byte-size knobs share one suffix-aware parser (parse_size_bytes —
-  // "512m", "2g", strict about trailing garbage, overflow-checked). The
-  // legacy MB knob keeps its bare unit: a suffixless "256" still means
-  // 256 MiB; the budget knob's bare unit is bytes.
-  opts.result_cache_bytes = parse_env_size_bytes(
-      "DYNASPARSE_RESULT_CACHE_MB", opts.result_cache_bytes, std::size_t{1} << 20);
-  opts.memory_budget_bytes =
-      parse_env_size_bytes("DYNASPARSE_MEM_BUDGET", opts.memory_budget_bytes);
-  opts.tile_pool_capacity =
-      parse_env_size("DYNASPARSE_TILE_POOL", opts.tile_pool_capacity);
-  opts.plan_store_capacity = parse_env_size("DYNASPARSE_PLAN_STORE", 0);
-  if (const char* dir = env_text("DYNASPARSE_PLAN_STORE_DIR"))
-    opts.plan_store_dir = dir;
-  return opts;
 }
 
 /// Byte weight of the compile and tile-pool tiers, and the compile
@@ -887,7 +861,11 @@ InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& 
 }
 
 InferenceService& InferenceService::process_default() {
-  static InferenceService service(default_engine_options());
+  static InferenceService service([] {
+    ServiceOptions opts;
+    opts.cache_capacity = 4;
+    return opts;
+  }());
   return service;
 }
 

@@ -442,24 +442,11 @@ class InferenceService {
   /// Resolved options: workers is the effective worker count (never 0).
   const ServiceOptions& options() const { return options_; }
 
-  /// Process-wide service backing core/engine.hpp's run_inference. Its
-  /// compilation-cache capacity defaults to 4 programs; override with the
-  /// DYNASPARSE_ENGINE_CACHE environment variable (0 disables caching and
-  /// restores the pre-service always-recompile behavior). Result
-  /// memoization is off by default; DYNASPARSE_RESULT_CACHE=N enables an
-  /// N-report ResultCache and DYNASPARSE_RESULT_CACHE_MB bounds its
-  /// approximate resident bytes (default 256 MiB when enabled; suffixes
-  /// "512m"/"2g" accepted, a bare number is MiB). Plan
-  /// reuse is off by default; DYNASPARSE_PLAN_STORE=N enables an N-plan
-  /// PlanStore and DYNASPARSE_PLAN_STORE_DIR adds its disk tier.
-  /// DYNASPARSE_MEM_BUDGET (bytes; "512m"/"2g" suffixes) sets the
-  /// process-wide memory budget across all tiers, and
-  /// DYNASPARSE_TILE_POOL=N sizes the shared operand pool (0 disables
-  /// operand sharing). All integer knobs parse strictly
-  /// (util/strict_parse.hpp): a malformed value logs a warning and keeps
-  /// the default instead of being silently ignored or misread.
-  /// (DYNASPARSE_FAULT_SPEC arms the global fault injector directly —
-  /// see util/fault_injection.hpp — not through these options.)
+  /// Process-wide service backing core/engine.hpp's run_inference: a
+  /// compilation cache of 4 programs, every other option at its
+  /// ServiceOptions default (no result memoization, no plan store).
+  /// DYNASPARSE_FAULT_SPEC arms the global fault injector directly — see
+  /// util/fault_injection.hpp — not through these options.
   static InferenceService& process_default();
 
  private:

@@ -20,7 +20,7 @@
 //
 // Overhead: fault_point() on an unarmed injector is one relaxed atomic
 // load and a branch — cheap enough to leave in production code
-// unconditionally (bench/service_throughput gates it at <1% of request
+// unconditionally (bench/unarmed_overhead gates it at <1% of request
 // latency). Armed sites take a mutex; chaos runs are not benchmarks.
 //
 // The process-global injector (FaultInjector::global) arms itself from

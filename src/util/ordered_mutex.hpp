@@ -18,7 +18,7 @@
 // NDEBUG is not (the CMake option DYNASPARSE_LOCK_ORDER_CHECK, default
 // ON, defines it so the default build runs ctest armed). With checking
 // compiled out, lock()/unlock() inline to the underlying std::mutex:
-// zero release cost, gated in bench/service_throughput.
+// zero release cost, gated in bench/unarmed_overhead.
 //
 // OrderedCondVar adapts std::condition_variable to OrderedMutex through
 // the native handle (adopt_lock in, release out), so waits cost exactly

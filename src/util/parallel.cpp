@@ -88,9 +88,12 @@ struct Job {
 /// A contiguous range of chunk indices [begin, end) of one job — the unit
 /// that lives on the deques. Executing a task splits it binarily, pushing
 /// the upper halves back as stealable tasks, until a single chunk remains.
+/// `stolen` marks a range already counted in chunks_stolen; the halves
+/// split off it inherit the mark, so a re-stolen chunk counts only once.
 struct TaskRange {
   Job* job = nullptr;
   std::int64_t begin = 0, end = 0;
+  bool stolen = false;
 };
 
 /// Persistent multi-job work-stealing pool. Each worker owns a deque of
@@ -256,7 +259,10 @@ class Pool {
         if (!takeable(*it, only)) continue;
         out = *it;
         victim.tasks.erase(it);
-        steals_.fetch_add(out.end - out.begin, std::memory_order_relaxed);
+        if (!out.stolen) {
+          steals_.fetch_add(out.end - out.begin, std::memory_order_relaxed);
+          out.stolen = true;
+        }
         return true;
       }
     }
@@ -278,7 +284,7 @@ class Pool {
     Job& job = *t.job;
     while (t.end - t.begin > 1) {
       std::int64_t mid = t.begin + (t.end - t.begin) / 2;
-      push_task(TaskRange{&job, mid, t.end});
+      push_task(TaskRange{&job, mid, t.end, t.stolen});
       t.end = mid;
     }
     const std::int64_t chunk = t.begin;

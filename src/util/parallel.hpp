@@ -97,16 +97,17 @@ int parallel_hardware_threads();
 /// destruction ordering.
 void parallel_ensure_pool();
 
-/// Cumulative pool counters since process start (informational; used by
-/// bench/pool_scaling to demonstrate multi-thread participation and by
-/// tests). Counter updates are relaxed atomics: totals are exact once the
-/// jobs being measured have completed.
+/// Cumulative pool counters since process start (informational; the
+/// service's `threads_` metrics and the pool tests read them). Counter
+/// updates are relaxed atomics: totals are exact once the jobs being
+/// measured have completed.
 struct PoolStats {
   std::int64_t jobs = 0;            // pool-dispatched jobs (serial calls excluded)
   std::int64_t chunks = 0;          // chunks executed through the pool
-  std::int64_t chunks_stolen = 0;   // cumulative size (in chunks) of task
-                                    // ranges taken from another thread's
-                                    // deque; a re-stolen range counts again
+  std::int64_t chunks_stolen = 0;   // chunks taken from another thread's
+                                    // deque at least once; each counts
+                                    // once however often it is re-stolen,
+                                    // so chunks_stolen <= chunks
 
   int threads = 0;                  // worker threads spawned so far
 };

@@ -106,15 +106,9 @@ long long parse_env_int(const char* name, long long fallback,
   return v;
 }
 
-std::size_t parse_env_size(const char* name, std::size_t fallback) {
-  return static_cast<std::size_t>(
-      parse_env_int(name, static_cast<long long>(fallback), 0,
-                    std::numeric_limits<long long>::max()));
-}
-
-std::size_t parse_size_bytes(const std::string& v, std::size_t bare_multiplier) {
+std::size_t parse_size_bytes(const std::string& v) {
   std::string num = v;
-  std::size_t mult = bare_multiplier;
+  std::size_t mult = 1;
   // Longest suffix first so "mb" is not consumed as a bare "b" with a
   // dangling 'm'. Case-insensitive: both "512M" and "512m" are common.
   auto ends_with_ci = [&](const char* suffix) {
@@ -140,25 +134,12 @@ std::size_t parse_size_bytes(const std::string& v, std::size_t bare_multiplier) 
     }
   if (num.empty()) throw std::invalid_argument("empty size: \"" + v + "\"");
   const std::uint64_t base = strict_stoull(num);  // whole-token, rejects "-"
-  if (mult != 0 && base > std::numeric_limits<std::uint64_t>::max() / mult)
+  if (base > std::numeric_limits<std::uint64_t>::max() / mult)
     throw std::out_of_range("size out of range: \"" + v + "\"");
   const std::uint64_t bytes = base * static_cast<std::uint64_t>(mult);
   if (bytes > std::numeric_limits<std::size_t>::max())
     throw std::out_of_range("size out of range: \"" + v + "\"");
   return static_cast<std::size_t>(bytes);
-}
-
-std::size_t parse_env_size_bytes(const char* name, std::size_t fallback,
-                                 std::size_t bare_multiplier) {
-  const char* env = std::getenv(name);
-  if (!env || *env == '\0') return fallback;
-  try {
-    return parse_size_bytes(env, bare_multiplier);
-  } catch (const std::exception&) {
-    log_warn(name, "=\"", env, "\" is not a byte size; using default ",
-             fallback, " bytes");
-    return fallback;
-  }
 }
 
 std::int64_t parse_duration_ms(const std::string& v) {

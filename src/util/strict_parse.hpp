@@ -11,11 +11,11 @@
 // tools/dynasparse_cli so stream files and CLI flags share one parsing
 // discipline.
 //
-// parse_env_int is the environment-variable counterpart: knobs like
-// DYNASPARSE_RESULT_CACHE or DYNASPARSE_FORCE_THREADS must never change
-// behavior silently on a typo. A set-but-malformed or out-of-range value
-// logs one warning (util/logging.hpp) and deterministically falls back to
-// the caller's default — never a crash, never a silent misparse.
+// parse_env_int is the environment-variable counterpart: a knob like
+// DYNASPARSE_FORCE_THREADS must never change behavior silently on a
+// typo. A set-but-malformed or out-of-range value logs one warning
+// (util/logging.hpp) and deterministically falls back to the caller's
+// default — never a crash, never a silent misparse.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,8 +43,8 @@ std::uint64_t strict_hex_u64(const std::string& v);
 /// (directories, chaos specs): returns nullptr when `name` is unset OR
 /// set empty — the shell idiom `VAR= cmd` means "unset" everywhere else
 /// in this codebase, so it means that here too. Numeric knobs use
-/// parse_env_int/parse_env_size instead; dynasparse_lint flags raw
-/// getenv outside this file.
+/// parse_env_int instead; dynasparse_lint flags raw getenv outside this
+/// file.
 const char* env_text(const char* name);
 
 /// Read the integer environment variable `name`. Unset (or set empty, the
@@ -54,26 +54,13 @@ const char* env_text(const char* name);
 long long parse_env_int(const char* name, long long fallback,
                         long long min_value, long long max_value);
 
-/// parse_env_int for non-negative size knobs (cache capacities, byte
-/// bounds): any value in [0, SIZE_MAX representable as long long].
-std::size_t parse_env_size(const char* name, std::size_t fallback);
-
 /// Parse a non-negative byte size with optional binary-unit suffix:
 /// "512m" / "512M" / "512mb" / "512MB" = 512 MiB, likewise "k"/"kb" and
-/// "g"/"gb"; "b" is explicit bytes. A bare number is multiplied by
-/// `bare_multiplier` (1 = bytes; the legacy *_MB knobs pass 1 MiB so
-/// "256" keeps meaning 256 MiB). Throws std::invalid_argument on
-/// anything else — negative values, unknown or dangling suffixes,
-/// trailing garbage ("512mx") — and std::out_of_range on overflow: the
-/// strict_stoi whole-token discipline.
-std::size_t parse_size_bytes(const std::string& v, std::size_t bare_multiplier = 1);
-
-/// parse_env_int-style byte-size knob (DYNASPARSE_MEM_BUDGET,
-/// DYNASPARSE_RESULT_CACHE_MB): unset or empty returns `fallback`
-/// silently; set but malformed or overflowing logs one warning and
-/// returns `fallback`. `fallback` is in bytes.
-std::size_t parse_env_size_bytes(const char* name, std::size_t fallback,
-                                 std::size_t bare_multiplier = 1);
+/// "g"/"gb"; "b" is explicit bytes, as is a bare number. Throws
+/// std::invalid_argument on anything else — negative values, unknown or
+/// dangling suffixes, trailing garbage ("512mx") — and std::out_of_range
+/// on overflow: the strict_stoi whole-token discipline.
+std::size_t parse_size_bytes(const std::string& v);
 
 /// Parse a non-negative duration into milliseconds. Accepts a bare
 /// integer ("250" = 250 ms), an "ms" suffix ("250ms"), or an "s" suffix

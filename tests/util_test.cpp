@@ -440,7 +440,6 @@ TEST(ParseEnvIntTest, UnsetAndEmptyFallBackSilently) {
 TEST(ParseEnvIntTest, ValidValuesParsedMalformedFallBackDeterministically) {
   setenv("DYNASPARSE_TEST_KNOB", "17", 1);
   EXPECT_EQ(parse_env_int("DYNASPARSE_TEST_KNOB", 42, 0, 100), 17);
-  EXPECT_EQ(parse_env_size("DYNASPARSE_TEST_KNOB", 42), 17u);
   // Malformed or out-of-range: logged and the default kept — the knob
   // never silently misparses ("16abc" is not 16) or crashes.
   for (const char* bad : {"16abc", "foo", "-1", "1e3", "101"}) {
@@ -471,7 +470,7 @@ TEST(ParseDurationTest, BareMillisecondsSuffixesAndFractions) {
   EXPECT_THROW(parse_duration_ms("1.5ms"), std::invalid_argument);
 }
 
-TEST(ParseSizeTest, SuffixesCaseAndBareMultiplier) {
+TEST(ParseSizeTest, SuffixesAndCase) {
   EXPECT_EQ(parse_size_bytes("1024"), 1024u);
   EXPECT_EQ(parse_size_bytes("512b"), 512u);
   EXPECT_EQ(parse_size_bytes("4k"), std::size_t{4} << 10);
@@ -480,10 +479,6 @@ TEST(ParseSizeTest, SuffixesCaseAndBareMultiplier) {
   EXPECT_EQ(parse_size_bytes("512MB"), std::size_t{512} << 20);
   EXPECT_EQ(parse_size_bytes("2g"), std::size_t{2} << 30);
   EXPECT_EQ(parse_size_bytes("2Gb"), std::size_t{2} << 30);
-  // bare_multiplier only scales suffixless values — "256" under an *_MB
-  // knob means 256 MiB, but "1g" stays 1 GiB.
-  EXPECT_EQ(parse_size_bytes("256", std::size_t{1} << 20), std::size_t{256} << 20);
-  EXPECT_EQ(parse_size_bytes("1g", std::size_t{1} << 20), std::size_t{1} << 30);
   EXPECT_EQ(parse_size_bytes("0"), 0u);
 }
 
@@ -498,22 +493,6 @@ TEST(ParseSizeTest, WholeTokenDisciplineAndOverflow) {
   // Multiplying past SIZE_MAX must throw, not wrap.
   EXPECT_THROW(parse_size_bytes("18446744073709551615k"), std::out_of_range);
   EXPECT_THROW(parse_size_bytes("99999999999999999999"), std::out_of_range);
-  EXPECT_THROW(
-      parse_size_bytes("18446744073709551615", std::size_t{1} << 20),
-      std::out_of_range);
-}
-
-TEST(ParseSizeTest, EnvVariantFallsBackOnMalformed) {
-  unsetenv("DYNASPARSE_TEST_SIZE");
-  EXPECT_EQ(parse_env_size_bytes("DYNASPARSE_TEST_SIZE", 7), 7u);
-  setenv("DYNASPARSE_TEST_SIZE", "2g", 1);
-  EXPECT_EQ(parse_env_size_bytes("DYNASPARSE_TEST_SIZE", 7), std::size_t{2} << 30);
-  setenv("DYNASPARSE_TEST_SIZE", "64", 1);
-  EXPECT_EQ(parse_env_size_bytes("DYNASPARSE_TEST_SIZE", 7, std::size_t{1} << 20),
-            std::size_t{64} << 20);
-  setenv("DYNASPARSE_TEST_SIZE", "512mx", 1);
-  EXPECT_EQ(parse_env_size_bytes("DYNASPARSE_TEST_SIZE", 7), 7u);
-  unsetenv("DYNASPARSE_TEST_SIZE");
 }
 
 TEST(FaultSpecTest, ParseGrammarAndRejections) {

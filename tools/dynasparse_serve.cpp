@@ -68,13 +68,11 @@
 //                     grammar, e.g. "plan_store.disk_read:0.3,seed:7")
 //   --warm            pre-compile every unique request before timing
 //   --seed S          seed for the synthetic workload     (default 2023)
-//   --baseline        also time the sequential uncached run_inference-style
-//                     loop (sequential_wall_ms)
 //   --json PATH       write the metrics as JSON, one "name": value per line
 //
 // Output: one `stats:` line of name=value tokens — serve's own run
 // numbers (requests, completed, wall time, throughput, p50/p99, mean
-// simulated latency, the sequential baseline; `port` in listen mode)
+// simulated latency; `port` in listen mode)
 // followed by InferenceService::metrics() (and NetServer::metrics() in
 // listen mode). --json writes the same list.
 //
@@ -86,6 +84,10 @@
 // counts each non-completed outcome by its type (the closed error
 // taxonomy); they are excluded from the latency percentiles. Under block
 // the submit loop itself is backpressured.
+//
+// Every bad flag value is a usage error (exit 2): a malformed token at
+// parse time, an out-of-range one (--workers -1, --max-conns 0, ...) when
+// the service or server constructor rejects it.
 
 #include <algorithm>
 #include <chrono>
@@ -95,6 +97,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/server.hpp"
@@ -114,6 +117,17 @@ void request_stop(int) { g_stop_requested = 1; }
   std::fprintf(stderr, "error: %s\n(see header of tools/dynasparse_serve.cpp)\n",
                msg.c_str());
   std::exit(2);
+}
+
+/// Construct a T, turning a constructor's rejection of an option into a
+/// usage error instead of an uncaught exception.
+template <typename T, typename... Args>
+T construct_or_usage(Args&&... args) {
+  try {
+    return T(std::forward<Args>(args)...);
+  } catch (const std::exception& e) {
+    usage(e.what());
+  }
 }
 
 /// Linear-interpolated percentile; `sorted_ms` must be sorted ascending.
@@ -150,7 +164,7 @@ int main(int argc, char** argv) {
   std::int64_t deadline_ms = 0, cancel_after_ms = -1;  // -1 = no cancellation
   int batch_window_us = 0;
   std::size_t batch_max = 0;
-  bool warm = false, baseline = false;
+  bool warm = false;
   int listen_port = -1;  // -1 = replay mode; 0 = ephemeral
   std::string listen_host = "127.0.0.1";
   std::size_t max_conns = 256;
@@ -194,7 +208,6 @@ int main(int argc, char** argv) {
       else if (key == "--seed") seed = strict_stoull(need_value());
       else if (key == "--json") json_path = need_value();
       else if (key == "--warm") warm = true;
-      else if (key == "--baseline") baseline = true;
       else if (key == "--listen") {
         listen_port = strict_stoi(need_value());
         if (listen_port < 0 || listen_port > 65535)
@@ -260,7 +273,7 @@ int main(int argc, char** argv) {
   opts.max_batch_size = batch_max;
   // Options are validated/resolved by the service; report the effective
   // worker count (no hidden cap).
-  InferenceService service(opts);
+  InferenceService service = construct_or_usage<InferenceService>(opts);
   std::printf("service: %d workers, intra-op cap %d (0 = shared pool)\n",
               service.options().workers, service.options().intra_op_threads);
 
@@ -270,7 +283,7 @@ int main(int argc, char** argv) {
     net.port = static_cast<std::uint16_t>(listen_port);
     net.max_connections = max_conns;
     net.frame_timeout_ms = frame_timeout_ms;
-    NetServer server(service, net);
+    NetServer server = construct_or_usage<NetServer>(service, net);
     try {
       server.start();
     } catch (const std::exception& e) {
@@ -346,18 +359,6 @@ int main(int argc, char** argv) {
   const double service_wall_ms = wall.elapsed_ms();
   const Metrics service_metrics = service.metrics();
 
-  double sequential_wall_ms = 0.0;
-  if (baseline) {
-    // The pre-service pattern: compile + execute per request, no cache,
-    // no concurrency.
-    Stopwatch sw;
-    for (const ServiceRequest& req : pool) {
-      CompiledProgram prog = compile(*req.model, *req.dataset, req.options.config);
-      (void)run_compiled(prog, req.options.runtime);
-    }
-    sequential_wall_ms = sw.elapsed_ms();
-  }
-
   std::sort(latencies_ms.begin(), latencies_ms.end());
   Metrics m;
   m.counter("requests", static_cast<std::int64_t>(ids.size()));
@@ -370,7 +371,6 @@ int main(int argc, char** argv) {
   m.gauge("mean_sim_latency_ms",
           completed > 0 ? sim_latency_ms / static_cast<double>(completed)
                         : 0.0);
-  m.gauge("sequential_wall_ms", sequential_wall_ms);
   m.append(service_metrics);
   report(m, json_path);
   return 0;
