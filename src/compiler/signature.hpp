@@ -86,9 +86,8 @@ std::uint64_t dataset_signature(const Dataset& ds);
 /// costs milliseconds on the larger graphs). Content-equal datasets
 /// always fingerprint equal. Built for keys where a collision between
 /// *different* datasets is harmless — the batch scheduler groups on
-/// this, and a falsely grouped member simply misses the shared-operand
-/// sweep (the runtime fuses only pointer-equal pooled operands) while
-/// still executing correctly. NOT a substitute for dataset_signature in
+/// this, and a falsely grouped member still runs alone through execute()
+/// and executes correctly. NOT a substitute for dataset_signature in
 /// the compilation/result caches, where a collision would alias
 /// different programs.
 std::uint64_t dataset_fingerprint(const Dataset& ds);

@@ -51,9 +51,9 @@ InferenceReport run_compiled(const CompiledProgram& prog, const RuntimeOptions& 
 
 /// Wrap an already-obtained ExecutionResult in the full InferenceReport
 /// run_compiled would build (compile stats, PCIe data-movement model,
-/// end-to-end latency). Shared by run_compiled and the service, which
-/// executes every request through RuntimeSystem::execute_batch and
-/// assembles reports afterwards.
+/// end-to-end latency). Shared by run_compiled and callers that execute
+/// programs themselves (RuntimeSystem::execute_batch) and assemble reports
+/// afterwards.
 InferenceReport assemble_compiled_report(const CompiledProgram& prog,
                                          const RuntimeOptions& runtime,
                                          ExecutionResult execution);

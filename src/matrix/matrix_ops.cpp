@@ -170,108 +170,6 @@ void spmm_accumulate(const CsrMatrix& x, const CsrMatrix& y, DenseMatrix& z) {
   }
 }
 
-void gemm_accumulate_batched(const DenseMatrix& x,
-                             const std::vector<const DenseMatrix*>& ys,
-                             const std::vector<DenseMatrix*>& zs) {
-  if (ys.size() != zs.size())
-    throw std::invalid_argument("batched gemm: ys/zs size mismatch");
-  // Solo path for any member the fast loop can't serve bit-identically
-  // (column-major accumulator falls back to the reference kernel there).
-  bool fast = true;
-  for (std::size_t b = 0; b < ys.size(); ++b) {
-    check_shapes(x.cols(), ys[b]->rows());
-    check_out(x.rows(), ys[b]->cols(), *zs[b]);
-    if (zs[b]->layout() != Layout::kRowMajor) fast = false;
-  }
-  if (!fast) {
-    for (std::size_t b = 0; b < ys.size(); ++b)
-      gemm_accumulate(x, *ys[b], *zs[b]);
-    return;
-  }
-  DenseMatrix xtmp;
-  const DenseMatrix& xr = x.require_row_major(xtmp);
-  std::vector<DenseMatrix> ytmps(ys.size());
-  std::vector<const DenseMatrix*> yr(ys.size());
-  for (std::size_t b = 0; b < ys.size(); ++b)
-    yr[b] = &ys[b]->require_row_major(ytmps[b]);
-  const std::int64_t m = x.rows(), n = x.cols();
-  // Shared X row streamed once; each member sees the same i-k order and
-  // the same xv == 0 skip as its solo gemm_accumulate.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* xrow = xr.row_ptr(i);
-    for (std::int64_t k = 0; k < n; ++k) {
-      float xv = xrow[k];
-      if (xv == 0.0f) continue;
-      for (std::size_t b = 0; b < ys.size(); ++b)
-        axpy_row(xv, yr[b]->row_ptr(k), zs[b]->row_ptr(i), yr[b]->cols());
-    }
-  }
-}
-
-void spdmm_accumulate_batched(const CooMatrix& x,
-                              const std::vector<const DenseMatrix*>& ys,
-                              const std::vector<DenseMatrix*>& zs) {
-  if (ys.size() != zs.size())
-    throw std::invalid_argument("batched spdmm: ys/zs size mismatch");
-  bool fast = true;
-  for (std::size_t b = 0; b < ys.size(); ++b) {
-    check_shapes(x.cols(), ys[b]->rows());
-    check_out(x.rows(), ys[b]->cols(), *zs[b]);
-    if (zs[b]->layout() != Layout::kRowMajor) fast = false;
-  }
-  if (!fast) {
-    for (std::size_t b = 0; b < ys.size(); ++b)
-      spdmm_accumulate(x, *ys[b], *zs[b]);
-    return;
-  }
-  std::vector<DenseMatrix> ytmps(ys.size());
-  std::vector<const DenseMatrix*> yr(ys.size());
-  for (std::size_t b = 0; b < ys.size(); ++b)
-    yr[b] = &ys[b]->require_row_major(ytmps[b]);
-  CooMatrix xtmp;
-  const CooMatrix& xs =
-      x.layout() == Layout::kRowMajor ? x : (xtmp = x.with_layout(Layout::kRowMajor));
-  // One pass over the shared sparse operand; per entry, every member's
-  // axpy in member order. Per member this is the exact solo entry order.
-  for (const CooEntry& e : xs.entries())
-    for (std::size_t b = 0; b < ys.size(); ++b)
-      axpy_row(e.value, yr[b]->row_ptr(e.col), zs[b]->row_ptr(e.row),
-               yr[b]->cols());
-}
-
-void spmm_accumulate_batched(const CooMatrix& x,
-                             const std::vector<const CsrMatrix*>& ys,
-                             const std::vector<DenseMatrix*>& zs) {
-  if (ys.size() != zs.size())
-    throw std::invalid_argument("batched spmm: ys/zs size mismatch");
-  bool fast = true;
-  for (std::size_t b = 0; b < ys.size(); ++b) {
-    check_shapes(x.cols(), ys[b]->rows());
-    check_out(x.rows(), ys[b]->cols(), *zs[b]);
-    if (zs[b]->layout() != Layout::kRowMajor) fast = false;
-  }
-  if (!fast) {
-    for (std::size_t b = 0; b < ys.size(); ++b)
-      spmm_accumulate(x, *ys[b], *zs[b]);
-    return;
-  }
-  CooMatrix xtmp;
-  const CooMatrix& xs =
-      x.layout() == Layout::kRowMajor ? x : (xtmp = x.with_layout(Layout::kRowMajor));
-  for (const CooEntry& e : xs.entries()) {
-    for (std::size_t b = 0; b < ys.size(); ++b) {
-      const CsrMatrix& y = *ys[b];
-      const std::int64_t* yrp = y.row_ptr().data();
-      const std::int64_t* yci = y.col_idx().data();
-      const float* yv = y.values().data();
-      float* zrow = zs[b]->row_ptr(e.row);
-      const std::int64_t kend = yrp[e.col + 1];
-      for (std::int64_t k = yrp[e.col]; k < kend; ++k)
-        zrow[yci[k]] += e.value * yv[k];
-    }
-  }
-}
-
 DenseMatrix gemm(const DenseMatrix& x, const DenseMatrix& y) {
   DenseMatrix z(x.rows(), y.cols(), Layout::kRowMajor);
   gemm_accumulate(x, y, z);

@@ -100,13 +100,7 @@ double detailed_pair_cycles(const PairDecision& d, const Tile& x, const Tile& y,
   return 0.0;
 }
 
-// ---------------------------------------------------------------------------
-// Per-kernel execution phases of execute_batch() below. Every member runs
-// the same phases in the same order whether its batch holds one member or
-// many, which is what keeps batched results bit-identical to a run alone.
-// ---------------------------------------------------------------------------
-
-/// Everything one kernel instance carries between phases.
+/// Everything one kernel instance carries between its phases.
 struct KernelPass {
   const KernelIR* ir = nullptr;
   KernelOperands ops;
@@ -126,23 +120,27 @@ KernelPass begin_kernel(const CompiledProgram& prog, std::size_t l,
   return kp;
 }
 
-/// One task's functional math. Each task owns its output tile, so any
-/// number of tasks — of one kernel or of several batch members — may run
-/// concurrently without aliasing.
-void run_functional_task(KernelPass& kp, const Task& t, double thr) {
+/// The kernel's functional math: every task's tile products on the host
+/// thread pool (each task owns its output tile, so parallel writes never
+/// alias), then combine (GraphSAGE) and activation, both in the store
+/// pipeline.
+void run_functional(KernelPass& kp,
+                    const std::vector<PartitionedMatrix>& node_outputs,
+                    double thr, int threads) {
   const PartitionedMatrix& X = *kp.ops.x;
   const PartitionedMatrix& Y = *kp.ops.y;
-  DenseMatrix acc(kp.out.tile_row_count(t.out_gi), kp.out.tile_col_count(t.out_gk),
-                  Layout::kRowMajor);
-  for (std::int64_t j = 0; j < t.inner_steps; ++j)
-    accumulate_product(X.tile(t.out_gi, j), Y.tile(j, t.out_gk), acc, kp.ir->spec.op);
-  kp.out.set_tile_from_dense(t.out_gi, t.out_gk, std::move(acc), thr);
-}
-
-/// Combine (GraphSAGE) then activation, both in the store pipeline.
-void finish_functional(KernelPass& kp,
-                       const std::vector<PartitionedMatrix>& node_outputs,
-                       double thr) {
+  parallel_for(
+      static_cast<std::int64_t>(kp.tasks.size()),
+      [&](std::int64_t ti) {
+        const Task& t = kp.tasks[static_cast<std::size_t>(ti)];
+        DenseMatrix acc(kp.out.tile_row_count(t.out_gi),
+                        kp.out.tile_col_count(t.out_gk), Layout::kRowMajor);
+        for (std::int64_t j = 0; j < t.inner_steps; ++j)
+          accumulate_product(X.tile(t.out_gi, j), Y.tile(j, t.out_gk), acc,
+                             kp.ir->spec.op);
+        kp.out.set_tile_from_dense(t.out_gi, t.out_gk, std::move(acc), thr);
+      },
+      threads);
   if (kp.ir->spec.add_input >= 0)
     kp.out.add_inplace(node_outputs[static_cast<std::size_t>(kp.ir->spec.add_input)],
                        thr);
@@ -152,10 +150,7 @@ void finish_functional(KernelPass& kp,
 
 /// Analyzer + per-task pricing + greedy list schedule + soft-processor
 /// accounting for one kernel; appends the kernel report and advances the
-/// per-request accumulators. Deliberately NOT fused across batch members:
-/// parallel_reduce's chunk-combine shape depends on the element count, so
-/// fusing reductions of different members would change the combine order
-/// and break bit-identity with a batch of one.
+/// per-request accumulators.
 void price_and_schedule(const CompiledProgram& prog, const RuntimeOptions& opt,
                         KernelPass& kp, ComputeCoreModel& core, SoftProcessor& soft,
                         ExecutionResult& result) {
@@ -347,221 +342,45 @@ void finalize_result(const SimConfig& cfg, const RuntimeOptions& opt,
   if (!node_outputs.empty()) result.output = std::move(node_outputs.back());
 }
 
-/// Per-member running state of a batch: the member's program, options,
-/// token, simulator models and accumulators, boxed so that members
-/// advance through the kernels in lockstep.
-struct MemberRun {
-  const CompiledProgram* prog;
-  const RuntimeOptions* opt;
-  CancellationToken token;
-  ComputeCoreModel core;
-  SoftProcessor soft;
-  double thr;
-  ExecutionResult result;
-  std::vector<PartitionedMatrix> node_outputs;
-  std::exception_ptr error;
-
-  explicit MemberRun(const BatchMember& m)
-      : prog(m.prog),
-        opt(&m.opt),
-        token(m.token),
-        core(m.prog->config),
-        soft(m.prog->config),
-        thr(m.prog->config.sparse_storage_threshold),
-        node_outputs(m.prog->kernels.size()) {
-    result.kernels.reserve(m.prog->kernels.size());
-  }
-  bool live() const { return !error; }
-};
-
-/// Structurally batchable: same kernel sequence shape and partition
-/// geometry, so every member generates the identical task grid per
-/// kernel. Guaranteed by equal plan_signature (the service's group key);
-/// verified here so execute_batch stays safe for arbitrary callers.
-bool batch_compatible(const std::vector<BatchMember>& members) {
-  const CompiledProgram& p0 = *members[0].prog;
-  for (const BatchMember& m : members) {
-    const CompiledProgram& p = *m.prog;
-    if (p.kernels.size() != p0.kernels.size()) return false;
-    if (p.plan.n1 != p0.plan.n1 || p.plan.n2 != p0.plan.n2) return false;
-    for (std::size_t l = 0; l < p.kernels.size(); ++l) {
-      const KernelIR& a = p.kernels[l];
-      const KernelIR& b = p0.kernels[l];
-      if (a.spec.kind != b.spec.kind || a.spec.out_dim != b.spec.out_dim ||
-          a.num_vertices != b.num_vertices)
-        return false;
-    }
-  }
-  return true;
-}
-
-/// Tighter of the members' host-thread caps (0 = uncapped) for the fused
-/// loops. Results are thread-count-invariant, so this only affects
-/// wall-clock, never bit-identity.
-int fused_thread_cap(const std::vector<MemberRun>& runs,
-                     const std::vector<std::size_t>& live) {
-  int cap = 0;
-  for (std::size_t m : live) {
-    int ht = runs[m].opt->host_threads;
-    if (ht > 0) cap = cap == 0 ? ht : std::min(cap, ht);
-  }
-  return cap;
-}
-
 }  // namespace
+
+ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
+                        const CancellationToken& token) {
+  const double thr = prog.config.sparse_storage_threshold;
+  ComputeCoreModel core(prog.config);
+  SoftProcessor soft(prog.config);
+  ExecutionResult result;
+  result.kernels.reserve(prog.kernels.size());
+  std::vector<PartitionedMatrix> node_outputs(prog.kernels.size());
+  for (std::size_t l = 0; l < prog.kernels.size(); ++l) {
+    // Kernel boundary: the cooperative abort point (never mid-kernel, so a
+    // run that finishes is bit-identical to an uncancellable one) and the
+    // chaos layer's transient-execution-failure site.
+    token.check();
+    if (fault_point(kFaultRuntimeKernelFault))
+      throw FaultInjectedError("injected kernel fault (node " +
+                               std::to_string(prog.kernels[l].node_id) + ")");
+    KernelPass kp = begin_kernel(prog, l, node_outputs);
+    if (opt.functional) run_functional(kp, node_outputs, thr, opt.host_threads);
+    price_and_schedule(prog, opt, kp, core, soft, result);
+    node_outputs[static_cast<std::size_t>(kp.ir->node_id)] = std::move(kp.out);
+  }
+  finalize_result(prog.config, opt, node_outputs, result);
+  return result;
+}
 
 BatchExecution execute_batch(const std::vector<BatchMember>& members) {
   BatchExecution bx;
   bx.members.resize(members.size());
-  if (members.empty()) return bx;
-
-  // Non-batchable group (caller mixed plan shapes): each member runs as a
-  // batch of one.
-  if (!batch_compatible(members)) {
-    for (std::size_t m = 0; m < members.size(); ++m)
-      bx.members[m] = std::move(execute_batch({members[m]}).members[0]);
-    return bx;
-  }
-
-  std::vector<MemberRun> runs;
-  runs.reserve(members.size());
-  for (const BatchMember& m : members) runs.emplace_back(m);
-
-  const std::size_t num_kernels = members[0].prog->kernels.size();
-  bx.total_kernels = static_cast<std::int64_t>(num_kernels);
-
-  for (std::size_t l = 0; l < num_kernels; ++l) {
-    // Kernel boundary, per member in index order: the cooperative abort
-    // point (never mid-kernel, so a run that finishes is bit-identical to
-    // an uncancellable one) and the chaos layer's transient-execution-
-    // failure site. An abort or injected fault drops THAT member from the
-    // batch and its batchmates continue. Member order is fixed, which
-    // keeps chaos outcomes seed-reproducible for a given batch composition.
-    std::vector<KernelPass> passes(runs.size());
-    std::vector<std::size_t> live;
-    for (std::size_t m = 0; m < runs.size(); ++m) {
-      if (!runs[m].live()) continue;
-      try {
-        runs[m].token.check();
-        if (fault_point(kFaultRuntimeKernelFault))
-          throw FaultInjectedError(
-              "injected kernel fault (node " +
-              std::to_string(runs[m].prog->kernels[l].node_id) + ")");
-        passes[m] = begin_kernel(*runs[m].prog, l, runs[m].node_outputs);
-        live.push_back(m);
-      } catch (...) {
-        runs[m].error = std::current_exception();
-      }
-    }
-    if (live.empty()) break;
-
-    // ---- Fused functional execution ------------------------------------
-    // Shared-sweep eligibility: every live member reads the SAME X operand
-    // object (pointer equality — the tile pool's dataset-keyed sharing, or
-    // a literally shared program) under the same accumulation op. Then one
-    // pass over X's tiles feeds every member's accumulator — the batched
-    // spmm/spdmm sweep. Otherwise (Update kernels, pool off) the members'
-    // tasks still fuse into one flat parallel loop over (member, task).
-    const std::vector<Task>& tasks0 = passes[live[0]].tasks;
-    bool all_functional = true, shared_x = true, same_op = true;
-    for (std::size_t m : live) {
-      if (!runs[m].opt->functional) all_functional = false;
-      if (passes[m].ops.x != passes[live[0]].ops.x) shared_x = false;
-      if (passes[m].ir->spec.op != passes[live[0]].ir->spec.op) same_op = false;
-    }
-    const bool fused_sweep =
-        all_functional && shared_x && same_op && live.size() >= 2;
-    const int threads = fused_thread_cap(runs, live);
+  for (std::size_t m = 0; m < members.size(); ++m) {
     try {
-      if (fused_sweep) {
-        ++bx.fused_kernels;
-        const PartitionedMatrix& X = *passes[live[0]].ops.x;
-        const AccumOp op = passes[live[0]].ir->spec.op;
-        parallel_for(
-            static_cast<std::int64_t>(tasks0.size()),
-            [&](std::int64_t ti) {
-              const Task& t = tasks0[static_cast<std::size_t>(ti)];
-              // One accumulator per member; each member's accumulation
-              // order over j (and within each tile product) is exactly the
-              // order of a run alone — only the X tile streams are shared.
-              std::vector<DenseMatrix> accs;
-              accs.reserve(live.size());
-              for (std::size_t m : live)
-                accs.emplace_back(passes[m].out.tile_row_count(t.out_gi),
-                                  passes[m].out.tile_col_count(t.out_gk),
-                                  Layout::kRowMajor);
-              std::vector<const Tile*> ys(live.size());
-              std::vector<DenseMatrix*> zs(live.size());
-              for (std::int64_t j = 0; j < t.inner_steps; ++j) {
-                for (std::size_t i = 0; i < live.size(); ++i) {
-                  ys[i] = &passes[live[i]].ops.y->tile(j, t.out_gk);
-                  zs[i] = &accs[i];
-                }
-                accumulate_product_batched(X.tile(t.out_gi, j), ys, zs, op);
-              }
-              for (std::size_t i = 0; i < live.size(); ++i)
-                passes[live[i]].out.set_tile_from_dense(
-                    t.out_gi, t.out_gk, std::move(accs[i]), runs[live[i]].thr);
-            },
-            threads);
-      } else {
-        // Flat fusion: every live functional member's tasks in one loop on
-        // the work-stealing pool. Each task owns its output tile, so
-        // parallel writes never alias.
-        std::vector<std::pair<std::size_t, std::size_t>> flat;
-        for (std::size_t m : live) {
-          if (!runs[m].opt->functional) continue;
-          for (std::size_t ti = 0; ti < passes[m].tasks.size(); ++ti)
-            flat.emplace_back(m, ti);
-        }
-        parallel_for(
-            static_cast<std::int64_t>(flat.size()),
-            [&](std::int64_t i) {
-              auto [m, ti] = flat[static_cast<std::size_t>(i)];
-              run_functional_task(passes[m], passes[m].tasks[ti], runs[m].thr);
-            },
-            threads);
-      }
-      for (std::size_t m : live)
-        if (runs[m].opt->functional)
-          finish_functional(passes[m], runs[m].node_outputs, runs[m].thr);
+      const BatchMember& in = members[m];
+      bx.members[m].result = execute(*in.prog, in.opt, in.token);
     } catch (...) {
-      // A failure inside the fused sweep (allocation, library error) has
-      // no single owner: fail every still-live member with it. Member-
-      // attributable failures (tokens, chaos faults) only occur at the
-      // kernel boundary above.
-      std::exception_ptr err = std::current_exception();
-      for (std::size_t m : live) runs[m].error = err;
-      break;
-    }
-
-    // ---- Pricing / scheduling / soft-processor: strictly per member ----
-    for (std::size_t m : live) {
-      price_and_schedule(*runs[m].prog, *runs[m].opt, passes[m], runs[m].core,
-                         runs[m].soft, runs[m].result);
-      runs[m].node_outputs[static_cast<std::size_t>(passes[m].ir->node_id)] =
-          std::move(passes[m].out);
-    }
-  }
-
-  for (std::size_t m = 0; m < runs.size(); ++m) {
-    if (runs[m].error) {
-      bx.members[m].error = runs[m].error;
-    } else {
-      finalize_result(runs[m].prog->config, *runs[m].opt, runs[m].node_outputs,
-                      runs[m].result);
-      bx.members[m].result = std::move(runs[m].result);
+      bx.members[m].error = std::current_exception();
     }
   }
   return bx;
-}
-
-ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
-                        const CancellationToken& token) {
-  BatchMemberResult r =
-      std::move(execute_batch({BatchMember{&prog, opt, token}}).members[0]);
-  if (r.error) std::rethrow_exception(r.error);
-  return std::move(r.result);
 }
 
 }  // namespace dynasparse

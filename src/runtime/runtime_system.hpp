@@ -108,33 +108,29 @@ struct ExecutionResult {
   std::vector<KernelTimeline> timeline;
 };
 
-/// Execute `prog` as a one-member execute_batch(), rethrowing that
-/// member's error. `token` (optional; see util/cancellation.hpp) is
-/// checked at every kernel boundary: a cancelled or deadline-expired
-/// request aborts with the typed error between kernels, never mid-kernel
-/// — so an execution that *completes* is bit-identical to an
-/// uncancellable run. The token is deliberately NOT a RuntimeOptions
-/// field: every RuntimeOptions field participates in the result-cache
-/// signature (compiler/signature.hpp keep-in-sync discipline), and a
-/// cancellation handle is identity, not content.
+/// Execute `prog` — the runtime's only per-kernel loop. `token`
+/// (optional; see util/cancellation.hpp) is checked at every kernel
+/// boundary: a cancelled or deadline-expired request aborts with the typed
+/// error between kernels, never mid-kernel — so an execution that
+/// *completes* is bit-identical to an uncancellable run. The same boundary
+/// draws the runtime.kernel_fault chaos site. The token is deliberately
+/// NOT a RuntimeOptions field: every RuntimeOptions field participates in
+/// the result-cache signature (compiler/signature.hpp keep-in-sync
+/// discipline), and a cancellation handle is identity, not content.
 ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
                         const CancellationToken& token = {});
 
-/// One member of a batch. The service groups members on equal
-/// plan_signature + dataset_fingerprint (service/batch_scheduler.hpp), so
-/// their programs share partition geometry and (when the tile pool is on)
-/// pointer-equal adjacency operands — but each member keeps its own
-/// program (weights may differ), options, and cancellation token.
+/// One input of execute_batch: a program with its own options and
+/// cancellation token.
 struct BatchMember {
   const CompiledProgram* prog = nullptr;
   RuntimeOptions opt;
   CancellationToken token;
 };
 
-/// Per-member outcome of execute_batch: `error` null means `result` is a
-/// completed execution bit-identical to running the member alone;
-/// `error` set means this member aborted or failed (the raw
-/// exception — CancelledError / DeadlineExceededError /
+/// Per-member outcome of execute_batch: `error` null means `result` is the
+/// completed execution; `error` set means this member aborted or failed
+/// (the raw exception — CancelledError / DeadlineExceededError /
 /// FaultInjectedError / anything else — for the caller to classify).
 struct BatchMemberResult {
   ExecutionResult result;
@@ -143,34 +139,11 @@ struct BatchMemberResult {
 
 struct BatchExecution {
   std::vector<BatchMemberResult> members;  // one per input, same order
-  /// Kernels whose functional math ran as ONE sweep over a shared
-  /// (pointer-equal) X operand feeding every live member — the fused
-  /// multi-feature path. Kernels with per-member X (Update kernels, or
-  /// aggregates when the tile pool is off) still execute inside one flat
-  /// cross-member parallel loop, they just don't share operand streams.
-  std::int64_t fused_kernels = 0;
-  std::int64_t total_kernels = 0;
 };
 
-/// Execute one or more programs as one fused batch — the runtime's only
-/// per-kernel loop.
-///
-/// Determinism contract: every member's completed ExecutionResult is
-/// BIT-IDENTICAL to a batch of one with the same (prog, opt) — fusion
-/// only restructures scheduling (which tasks run concurrently), never a
-/// member's per-element FP operation sequence, its primitive dispatch,
-/// or its pricing reduction shape. Members are isolated at every kernel
-/// boundary, in member order: the member's token is checked and the
-/// runtime.kernel_fault chaos site is drawn once per member, so a
-/// cancelled/expired/faulted member drops out of the batch alone and its
-/// batchmates continue unperturbed. An exception escaping the fused
-/// functional sweep itself (e.g. allocation failure — not attributable
-/// to one member) fails every still-live member.
-///
-/// Runs each member as a batch of one when the programs are not
-/// structurally batchable (different kernel sequences or partition
-/// geometry) — callers may pass any group; compatible grouping only
-/// affects speed, never correctness.
+/// Run each member through execute(), one after another in member order,
+/// keeping each member's error: a cancelled, expired or faulted member
+/// fails alone and the members after it still run.
 BatchExecution execute_batch(const std::vector<BatchMember>& members);
 
 }  // namespace dynasparse

@@ -2,17 +2,18 @@
 // Continuous cross-request batching: the collect stage between admission
 // and the worker pool.
 //
-// Workers used to pop one job at a time; under concurrent load the same
-// pooled adjacency operands were streamed once per request. The scheduler
-// instead groups queued jobs by fusion-compatibility key — the pair
-// (plan_signature, dataset_fingerprint) — and releases a whole group as one
-// batch, which the runtime executes as fused multi-feature sweeps
-// (RuntimeSystem::execute_batch): one pass over each shared adjacency
-// tile feeds every member's accumulator. Members of a group may run
-// *different models and weights* (different CompileKeys); equal keys only
-// promise identical task grids and content-equal datasets, which — with
-// the operand tile pool on — means pointer-equal pooled operands, the
-// structural precondition for a shared sweep.
+// The scheduler groups queued jobs by a compatibility key — the pair
+// (plan_signature, dataset_fingerprint) — and releases a whole group as
+// one batch. The service then runs the batch member by member, each
+// through the same execute() as a lone request, and publishes each member
+// as soon as it finishes. Members of a group may run *different models
+// and weights* (different CompileKeys); equal keys only promise identical
+// task grids and content-equal datasets.
+//
+// Members run one at a time because that measured better than executing
+// a batch in lockstep over shared operands: same simulated latency, lower
+// p50, p95 and peak RSS on perfbench's fused_burst (README, "Continuous
+// batching"). The grouping stays while fused_burst sets the batch flags.
 //
 // Collection policy (BatchPolicy): hold a group open until it reaches
 // `max_batch` members OR `window_us` microseconds have passed since its
@@ -50,16 +51,14 @@ struct GnnModel;
 struct Dataset;
 struct SimConfig;
 
-/// Fusion-compatibility key: the compiled programs have the same
-/// partition plan + kernel task grids (plan component) and the same
-/// dataset content, hence shared pooled adjacency operands (dataset
-/// component). The dataset half is the bounded-work dataset_fingerprint,
-/// not the full content hash — the scheduler keys every queued job, and
-/// dataset_signature's full array walk costs milliseconds on the larger
-/// graphs (it would have doubled the service's per-request hashing). A
-/// fingerprint collision merely groups incompatible members: the runtime
-/// fuses only pointer-equal pooled operands, so they fall back to the
-/// flat loop and still execute bit-identically. See
+/// Compatibility key: the compiled programs have the same partition plan
+/// + kernel task grids (plan component) and the same dataset content
+/// (dataset component). The dataset half is the bounded-work
+/// dataset_fingerprint, not the full content hash — the scheduler keys
+/// every queued job, and dataset_signature's full array walk costs
+/// milliseconds on the larger graphs (it would have doubled the service's
+/// per-request hashing). A fingerprint collision merely groups unrelated
+/// members, which run one at a time either way. See
 /// compiler/signature.hpp for what each hash covers.
 struct BatchKey {
   std::uint64_t plan = 0;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "runtime/runtime_system.hpp"
 #include "service/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/parallel.hpp"
@@ -110,15 +109,6 @@ ServiceRequest ServiceRequest::own(GnnModel model, Dataset dataset,
   ServiceRequest req;
   req.model = std::make_shared<const GnnModel>(std::move(model));
   req.dataset = std::make_shared<const Dataset>(std::move(dataset));
-  req.options = options;
-  return req;
-}
-
-ServiceRequest ServiceRequest::borrow(const GnnModel& model, const Dataset& dataset,
-                                      const EngineOptions& options) {
-  ServiceRequest req;
-  req.model = std::shared_ptr<const GnnModel>(&model, [](const GnnModel*) {});
-  req.dataset = std::shared_ptr<const Dataset>(&dataset, [](const Dataset*) {});
   req.options = options;
   return req;
 }
@@ -290,7 +280,7 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
       runnable.push_back(RunnableMember{&job, std::move(token)});
     }
     // Formation stats count runnable members only, so mean occupancy
-    // measures work actually executed together, not queue bookkeeping.
+    // measures work actually released together, not queue bookkeeping.
     // Unbatched mode records nothing — there are no "batches" to speak
     // of and the counters stay zero as documented.
     if (batcher_.policy().enabled() && !runnable.empty()) {
@@ -303,127 +293,57 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
     }
   }
   if (notify) slots_cv_.notify_all();
-  if (runnable.empty()) return;
-  std::vector<MemberOutcome> outcomes = execute_members(runnable);
-  for (std::size_t i = 0; i < runnable.size(); ++i)
-    publish_result(runnable[i].job->id, std::move(outcomes[i].report),
-                   std::move(outcomes[i].error), runnable[i].token);
+  // Members run one at a time, in arrival order, and each is published the
+  // moment it finishes: a member's failure stays its own, and a fast
+  // member never waits for its batchmates.
+  for (const RunnableMember& m : runnable) {
+    const ServiceRequest& req = m.job->request;
+    InferenceReport report;
+    std::exception_ptr error;
+    try {
+      report = run_request(*req.model, *req.dataset, req.options, m.token);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    publish_result(m.job->id, std::move(report), std::move(error), m.token);
+  }
 }
 
-std::vector<InferenceService::MemberOutcome> InferenceService::execute_members(
-    const std::vector<RunnableMember>& members) {
-  const std::size_t n = members.size();
-  std::vector<MemberOutcome> out(n);
-  // pending[i]: member i has no outcome yet. Cleared when it fails before
-  // its claim, or when a group run parks its outcome for the claim.
-  std::vector<char> pending(n, 1);
-  std::vector<std::optional<ResultKey>> rkeys(n);  // set when memoizing
-  // Token check, then key hashing, per member. The ResultKey extends the
-  // compile key with the runtime-options signature; the compilation cache
-  // reuses its compile half instead of rehashing. Equal ResultKeys imply
-  // bit-identical deterministic report fields (determinism contract), so
-  // a hit is served without compiling or executing.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServiceRequest& req = members[i].job->request;
-    try {
-      members[i].token.check();
-      if (result_cache_.enabled())
-        rkeys[i] = make_result_key(
-            make_compile_key(*req.model, *req.dataset, req.options.config),
-            req.options.runtime);
-    } catch (...) {
-      out[i].error = std::current_exception();
-      pending[i] = 0;
-    }
-  }
-
-  // Compile and execute member `first` together with every later member
-  // that has no outcome yet and no memoized report ready (those claim a
-  // hit instead), as ONE execute_batch call; park all their outcomes.
-  // Failures stay member-isolated: a member whose compile throws (or
-  // whose token fired) drops out with its own error.
-  auto run_group = [&](std::size_t first) {
-    std::vector<std::size_t> group;
-    // One intra-op scope per group: the service-wide cap combined with the
-    // tightest member host_threads (thread counts never change results).
-    // It covers compilation too — the partition planner's parallel loops
-    // take no thread argument — and clamps the runtime's loops without
-    // turning the cap into an explicit thread request, which would
-    // oversubscribe the pool whenever the cap exceeds the hardware width.
-    int cap = options_.intra_op_threads;
-    for (std::size_t j = first; j < n; ++j) {
-      if (!pending[j]) continue;
-      if (j > first && rkeys[j] && result_cache_.peek(*rkeys[j])) continue;
-      group.push_back(j);
-      out[j] = MemberOutcome{};
-      cap = combine_caps(
-          cap, members[j].job->request.options.runtime.host_threads);
-    }
-    ParallelMaxThreadsScope scope(cap);
-    std::vector<std::shared_ptr<const CompiledProgram>> progs;
-    std::vector<BatchMember> batch;
-    std::vector<std::size_t> batch_member;  // members index per batch entry
-    for (std::size_t j : group) {
-      const ServiceRequest& req = members[j].job->request;
-      const CancellationToken& token = members[j].token;
-      try {
-        // Without memoization the key-less lookup skips the content hash
-        // when the compilation cache is off too.
-        progs.push_back(
-            rkeys[j]
-                ? cache_.get_or_compile(rkeys[j]->compile, *req.model,
-                                        *req.dataset, req.options.config, token)
-                : cache_.get_or_compile(*req.model, *req.dataset,
-                                        req.options.config, token));
-        token.check();  // compile/execute boundary
-        batch.push_back(
-            BatchMember{progs.back().get(), req.options.runtime, token});
-        batch_member.push_back(j);
-      } catch (...) {
-        out[j].error = std::current_exception();
-      }
-    }
-    BatchExecution bx = execute_batch(batch);
-    if (bx.fused_kernels > 0) {
-      std::lock_guard<OrderedMutex> lk(slots_mu_);
-      batch_.fused_kernels += bx.fused_kernels;
-    }
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      MemberOutcome& o = out[batch_member[b]];
-      if (bx.members[b].error) {
-        o.error = std::move(bx.members[b].error);
-        continue;
-      }
-      const ServiceRequest& req = members[batch_member[b]].job->request;
-      o.report = assemble_compiled_report(*batch[b].prog, req.options.runtime,
-                                          std::move(bx.members[b].result));
-      o.report.dataset_tag = req.dataset->spec.tag;
-    }
-    for (std::size_t j : group) pending[j] = 0;
+InferenceReport InferenceService::run_request(const GnnModel& model,
+                                              const Dataset& ds,
+                                              const EngineOptions& options,
+                                              const CancellationToken& token) {
+  // One intra-op scope per request: the service-wide cap combined with the
+  // request's own host_threads (thread counts never change results). It
+  // covers compilation too — the partition planner's parallel loops take
+  // no thread argument — and clamps the runtime's loops without turning
+  // the cap into an explicit thread request, which would oversubscribe
+  // the pool whenever the cap exceeds the hardware width.
+  ParallelMaxThreadsScope scope(
+      combine_caps(options_.intra_op_threads, options.runtime.host_threads));
+  token.check();
+  // Compile (or fetch) and execute. Without memoization (`key` null) the
+  // key-less lookup skips the content hash when the compilation cache is
+  // off too.
+  auto run = [&](const CompileKey* key) {
+    std::shared_ptr<const CompiledProgram> prog =
+        key ? cache_.get_or_compile(*key, model, ds, options.config, token)
+            : cache_.get_or_compile(model, ds, options.config, token);
+    InferenceReport report = run_compiled(*prog, options.runtime, token);
+    report.dataset_tag = ds.spec.tag;
+    return report;
   };
-
-  // Claims in arrival order. The first claim that misses runs a group;
-  // the group's later members find their outcome parked and store it
-  // through their own claim. A ready report is a counted hit. The fill
-  // runs under the claiming member's token: if it aborts, same-key
-  // requests joined on other threads retry under their own tokens
-  // (ResultCache::get_or_run's in-flight dedup and hand-off).
-  auto claim = [&](std::size_t i) {
-    if (pending[i]) run_group(i);
-    if (out[i].error) std::rethrow_exception(out[i].error);
-    return std::move(out[i].report);
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    try {
-      out[i].report = rkeys[i] ? result_cache_.get_or_run(
-                                     *rkeys[i], [&] { return claim(i); })
-                               : claim(i);
-      out[i].error = nullptr;
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-  return out;
+  if (!result_cache_.enabled()) return run(nullptr);
+  // The ResultKey extends the compile key with the runtime-options
+  // signature; the compilation cache reuses its compile half instead of
+  // rehashing. Equal ResultKeys imply bit-identical deterministic report
+  // fields (determinism contract), so a hit is served without compiling
+  // or executing. The fill runs under this request's token: if it aborts,
+  // same-key requests joined on other threads retry under their own
+  // tokens (ResultCache::get_or_run's in-flight dedup and hand-off).
+  const ResultKey key = make_result_key(
+      make_compile_key(model, ds, options.config), options.runtime);
+  return result_cache_.get_or_run(key, [&] { return run(&key.compile); });
 }
 
 void InferenceService::publish_result(RequestId id, InferenceReport&& report,
@@ -720,7 +640,9 @@ Metrics InferenceService::metrics() const {
   m.counter("batched_requests", bt.batched_requests);
   m.counter("fused_batches", bt.fused_batches);
   m.counter("fused_requests", bt.fused_requests);
-  m.counter("fused_kernels", bt.fused_kernels);
+  // Batches never execute fused; the key stays, at 0, because
+  // perfbench/metrics.py (server_layers) reads it.
+  m.counter("fused_kernels", 0);
   m.gauge("batch_mean_occupancy", bt.mean_occupancy());
 
   const PoolStats tp = parallel_pool_stats();
@@ -853,11 +775,7 @@ std::vector<InferenceReport> InferenceService::run_batch(
 
 InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& ds,
                                           const EngineOptions& options) {
-  // A slot-less job (id 0 is never issued), executed as a batch of one.
-  const Job job{0, ServiceRequest::borrow(model, ds, options)};
-  MemberOutcome out = std::move(execute_members({RunnableMember{&job, {}}})[0]);
-  if (out.error) std::rethrow_exception(out.error);
-  return std::move(out.report);
+  return run_request(model, ds, options, {});
 }
 
 InferenceService& InferenceService::process_default() {

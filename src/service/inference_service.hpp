@@ -25,10 +25,10 @@
 // parallelism compose: a lone big request spreads across every idle core
 // while small requests overlap on the same worker set, instead of each
 // request being pinned to one thread. ServiceOptions::intra_op_threads
-// bounds one request's fan-out: each execution group installs a
-// ParallelMaxThreadsScope (combining it with the tightest
-// RuntimeOptions::host_threads of the group's requests) that covers
-// compile + execute, clamping what every parallel call under it —
+// bounds one request's fan-out: each request installs a
+// ParallelMaxThreadsScope (combining it with the request's own
+// RuntimeOptions::host_threads) that covers compile + execute, clamping
+// what every parallel call under it —
 // including runtime_system.cpp's hot loops — resolves its thread count
 // to; 1 restores the serial-per-worker behavior this service shipped
 // with. Reports are bit-identical to sequential run_inference for the
@@ -48,17 +48,13 @@
 // max_batch_size): workers dequeue through a BatchScheduler
 // (service/batch_scheduler.hpp) that groups queued requests by
 // (plan_signature, dataset_fingerprint) under a collect-for-a-window-or-K
-// policy and executes each group as ONE fused multi-feature batch
-// (RuntimeSystem::execute_batch): the group's shared pooled adjacency
-// operands stream once per kernel for every member instead of once per
-// request. Fusion is invisible in results — each member's report is
-// bit-identical to running it alone, deterministic_fingerprint()
-// included — and invisible to the robustness surface: cancellation,
-// deadlines and injected faults fail exactly the affected member, never a
-// batchmate. Both knobs 0 (the default) release one job at a time. Every
-// request, batched or not and run_one() included, takes the same
-// execution path: a lone request is a batch of one. batch_stats()
-// reports formation and fusion counters.
+// policy and releases each group as one batch. The worker then runs the
+// batch member by member, each through the same path as a lone request
+// (run_request: compile, then RuntimeSystem::execute), and publishes each
+// member the moment it finishes. Reports are therefore bit-identical to
+// running alone, and cancellation, deadlines and injected faults fail
+// exactly the affected member. Both knobs 0 (the default) release one job
+// at a time. batch_stats() reports formation counters.
 //
 // Admission control (ServiceOptions::max_queue_depth + admission): a
 // bounded queue gives submit() backpressure under overload — block the
@@ -144,10 +140,6 @@ struct ServiceRequest {
   /// Take ownership of the inputs (moves them onto the heap).
   static ServiceRequest own(GnnModel model, Dataset dataset,
                             EngineOptions options = {});
-  /// Alias caller-owned inputs without copying. The caller must keep them
-  /// alive and unmodified until the request completes.
-  static ServiceRequest borrow(const GnnModel& model, const Dataset& dataset,
-                               const EngineOptions& options = {});
 };
 
 enum class RequestState { kQueued, kRunning, kDone, kFailed };
@@ -222,15 +214,14 @@ struct AdmissionStats {
 /// Continuous-batching counters (slots_mu_-guarded snapshots). A "batch"
 /// here is one BatchScheduler release with at least one still-runnable
 /// member (stale/expired members are excluded, so occupancy measures work
-/// actually fused, not queue bookkeeping). All zero with batching off —
-/// every dequeue is then a singleton and is not counted as a batch.
+/// actually released together, not queue bookkeeping). All zero with
+/// batching off — every dequeue is then a singleton and is not counted as
+/// a batch.
 struct BatchStats {
   std::int64_t batches_formed = 0;   // releases with >= 1 runnable member
   std::int64_t batched_requests = 0; // runnable members across them
   std::int64_t fused_batches = 0;    // releases with >= 2 runnable members
   std::int64_t fused_requests = 0;   // members of those releases
-  std::int64_t fused_kernels = 0;    // kernels executed as ONE shared-operand
-                                     // sweep (RuntimeSystem::execute_batch)
   double mean_occupancy() const {
     return batches_formed > 0
                ? static_cast<double>(batched_requests) /
@@ -318,18 +309,17 @@ struct ServiceOptions {
   /// DYNASPARSE_FAULT_SPEC armed — or nothing — stays in effect.
   std::string fault_spec;
   /// Continuous cross-request batching collect window, in microseconds
-  /// (service/batch_scheduler.hpp). Workers hold a fusion-compatible
-  /// group of queued requests open this long (from its first member) and
-  /// execute the group as one fused multi-feature batch — shared pooled
-  /// adjacency operands stream once for the whole group, with per-member
-  /// reports bit-identical to running alone. 0 (default) with
+  /// (service/batch_scheduler.hpp). Workers hold a group of queued
+  /// requests with equal plan and dataset open this long (from its first
+  /// member) and release it as one batch, whose members then run one at a
+  /// time, each published as soon as it finishes. 0 (default) with
   /// max_batch_size <= 1 disables batching entirely: workers pop one job
-  /// at a time, each a batch of one. Negative values are rejected.
+  /// at a time. Negative values are rejected.
   std::int64_t batch_window_us = 0;
   /// Release a collecting group as soon as it reaches this many members
   /// (the K cutoff). 0 with a positive window = unlimited (the window
   /// alone decides); values > 1 enable batching even with window 0
-  /// (opportunistic fusion of already-queued bursts, no added latency).
+  /// (already-queued bursts are released together, no added latency).
   std::size_t max_batch_size = 0;
 };
 
@@ -460,7 +450,7 @@ class InferenceService {
     std::exception_ptr error;
     std::chrono::steady_clock::time_point submitted, started, finished;
     /// Per-request abort handle: cancel()/shutdown() fire it; its token
-    /// (deadline-carrying when one applies) rides into execute_members.
+    /// (deadline-carrying when one applies) rides into run_request.
     CancellationSource source;
     /// True when robust_.cancelled counted this slot. A failed-push
     /// submit path that erases (or overwrites) a shutdown-cancelled slot
@@ -475,26 +465,20 @@ class InferenceService {
     const Job* job = nullptr;
     CancellationToken token;
   };
-  /// A member's terminal result: its report, or the raw exception.
-  struct MemberOutcome {
-    InferenceReport report;
-    std::exception_ptr error;
-  };
 
   void ensure_workers();
   void worker_main();
   /// Process one BatchScheduler release: per-member stale/expired slot
-  /// recheck, execute_members over the runnable members, publication.
+  /// recheck, then run_request and publication for each runnable member
+  /// in turn.
   void process_batch(std::vector<Job>& jobs);
-  /// The service's one execution path, for a batch of any size (a lone
-  /// request is a batch of one): per member, token check and key hashing;
-  /// then result-cache claims in arrival order, where the first miss
-  /// compiles and runs every member still needing it through ONE
-  /// RuntimeSystem::execute_batch call. Member failures (cancel,
-  /// deadline, chaos fault, compile error) are isolated. Outcomes come
-  /// back in member order, errors raw (unclassified).
-  std::vector<MemberOutcome> execute_members(
-      const std::vector<RunnableMember>& members);
+  /// The service's one execution path, for a queued member and run_one
+  /// alike: token check, key hashing, result-cache claim, compile,
+  /// RuntimeSystem::execute and report assembly, under one intra-op
+  /// scope. Throws the raw (unclassified) error.
+  InferenceReport run_request(const GnnModel& model, const Dataset& ds,
+                              const EngineOptions& options,
+                              const CancellationToken& token);
   /// Terminal-state publication of one member outcome: classify `raw`
   /// into the wait() error taxonomy (or discard a completed-but-cancelled
   /// result), update the slot + robustness stats under slots_mu_, wake

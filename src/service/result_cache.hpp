@@ -62,12 +62,6 @@ class ResultCache {
     });
   }
 
-  /// Ready entry for `key`, or nullptr (does not wait on in-flight runs
-  /// and does not touch LRU order or stats).
-  std::shared_ptr<const InferenceReport> peek(const ResultKey& key) const {
-    return impl_.peek(key);
-  }
-
   ResultCacheStats stats() const { return impl_.stats(); }
 
   /// Budget shrinker hook: evict ready reports down to `target` bytes.

@@ -91,6 +91,9 @@ void FaultInjector::arm(const FaultSpec& spec) {
       order_.push_back(s.site);
   }
   armed_.store(!sites_.empty(), std::memory_order_relaxed);
+  if (is_global_)
+    detail::g_global_fault_armed.store(!sites_.empty(),
+                                       std::memory_order_relaxed);
 }
 
 bool FaultInjector::should_inject(const std::string& site) {
@@ -126,11 +129,17 @@ std::vector<std::pair<std::string, FaultSiteStats>> FaultInjector::all_stats()
 FaultInjector& FaultInjector::global() {
   static FaultInjector* injector = [] {
     auto* g = new FaultInjector();  // leaked: outlives every static user
-    if (const char* env = env_text("DYNASPARSE_FAULT_SPEC"))
-      g->arm(parse_fault_spec(env));
+    g->is_global_ = true;
+    const char* env = env_text("DYNASPARSE_FAULT_SPEC");
+    g->arm(env ? parse_fault_spec(env) : FaultSpec{});
     return g;
   }();
   return *injector;
+}
+
+bool detail::global_should_inject(const char* site) {
+  FaultInjector& g = FaultInjector::global();
+  return g.armed() && g.should_inject(site);
 }
 
 }  // namespace dynasparse

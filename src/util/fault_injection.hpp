@@ -18,15 +18,16 @@
 // interleave. The chaos tests rely on this to reproduce failures from a
 // seed alone.
 //
-// Overhead: fault_point() on an unarmed injector is one relaxed atomic
-// load and a branch — cheap enough to leave in production code
-// unconditionally (bench/unarmed_overhead gates it at <1% of request
+// Overhead: fault_point() on an unarmed global injector is one inline
+// relaxed atomic load and a branch — cheap enough to leave in production
+// code unconditionally (bench/unarmed_overhead gates it at <1% of request
 // latency). Armed sites take a mutex; chaos runs are not benchmarks.
 //
 // The process-global injector (FaultInjector::global) arms itself from
 // DYNASPARSE_FAULT_SPEC on first use — how CI's chaos lane injects
-// faults into unmodified binaries. ServiceOptions::fault_spec routes
-// through the same instance.
+// faults into unmodified binaries — and the first fault_point() call is
+// such a use. ServiceOptions::fault_spec routes through the same
+// instance.
 
 #include <cstdint>
 #include <random>
@@ -101,7 +102,7 @@ class FaultInjector {
   /// deterministic chaos run.
   void arm(const FaultSpec& spec);
   void disarm() { arm(FaultSpec{}); }
-  /// Any site armed? One relaxed load — the unarmed fast path.
+  /// Any site armed? One relaxed load.
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// Should the site fire now? Counts the evaluation, draws from the
@@ -132,18 +133,28 @@ class FaultInjector {
   };
 
   std::atomic<bool> armed_{false};
+  bool is_global_ = false;  // arm() also mirrors into g_global_fault_armed
   std::atomic<int> pause_depth_{0};
   mutable OrderedMutex mu_{LockRank::kFaultInjector};
   std::unordered_map<std::string, Site> sites_;
   std::vector<std::string> order_;  // spec order, for all_stats()
 };
 
+namespace detail {
+/// The global injector's armed() state, mirrored where fault_point() can
+/// read it without a call. It starts true, so the first evaluation takes
+/// the out-of-line path, which builds the global injector (arming it from
+/// DYNASPARSE_FAULT_SPEC) and stores the real state.
+inline std::atomic<bool> g_global_fault_armed{true};
+bool global_should_inject(const char* site);
+}  // namespace detail
+
 /// The injection point: false (and nearly free) unless the global
 /// injector arms `site`. Call sites decide what a `true` means.
 inline bool fault_point(const char* site) {
-  FaultInjector& g = FaultInjector::global();
-  if (!g.armed()) return false;
-  return g.should_inject(site);
+  if (!detail::g_global_fault_armed.load(std::memory_order_relaxed))
+    return false;
+  return detail::global_should_inject(site);
 }
 
 /// RAII pause of the global injector, for computing fault-free reference

@@ -199,9 +199,9 @@ TEST(ChaosTest, KernelFaultsAreIsolatedPerRequest) {
   EXPECT_GT(completed, 0);
 }
 
-/// Fusion-compatible roster for the batching chaos scenarios: one
+/// Batch-compatible roster for the batching chaos scenarios: one
 /// dataset content (equal BatchKey) with a different weight draw per
-/// member, so the members fuse yet carry distinct CompileKeys.
+/// member, so the members share a batch yet carry distinct CompileKeys.
 std::vector<std::pair<ServiceRequest, std::uint64_t>> fusion_roster(
     std::size_t n, std::uint64_t dataset_seed) {
   std::vector<std::pair<ServiceRequest, std::uint64_t>> work;
@@ -221,8 +221,8 @@ std::vector<std::pair<ServiceRequest, std::uint64_t>> fusion_roster(
 TEST(ChaosTest, KernelFaultsInsideFusedBatchesStayMemberIsolated) {
   DisarmGuard guard;
   // runtime.kernel_fault + queue.delay against a *batching* service: the
-  // fault draw lands on one member of a fused batch (the per-member draw
-  // happens at each member's kernel boundary, exactly as solo), and must
+  // fault draw lands on one member of a batch (each member draws at its
+  // own kernel boundaries as it runs, exactly as solo), and must
   // fail only that member — surviving batchmates complete bit-identical
   // to their fault-free references, and every failure is typed
   // ExecutionError. queue.delay stalls whole batches, exercising the

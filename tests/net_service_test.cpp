@@ -35,6 +35,7 @@
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "service/request_stream.hpp"
+#include "service_counters.hpp"
 #include "util/fault_injection.hpp"
 
 namespace dynasparse {
@@ -169,6 +170,7 @@ TEST(NetService, ConcurrentClientsMatchDirectRunBatchBitForBit) {
   EXPECT_EQ(ns.errors_sent, 0);
   EXPECT_EQ(ns.protocol_errors, 0);
   server.stop();
+  testing::expect_counters_add_up(service, ns.results);
 }
 
 TEST(NetService, DisconnectMidRequestCancelsInFlightAndLeaksNoSlot) {
@@ -222,6 +224,7 @@ TEST(NetService, CancelledErrorRoundTripsOverTheWire) {
   EXPECT_THROW(out.rethrow(), CancelledError);
   EXPECT_TRUE(client.await(head).ok);  // the neighbor is untouched
   server.stop();
+  testing::expect_counters_add_up(service, 1);
 }
 
 TEST(NetService, DeadlineExceededRoundTripsOverTheWire) {
@@ -242,6 +245,7 @@ TEST(NetService, DeadlineExceededRoundTripsOverTheWire) {
   EXPECT_THROW(out.rethrow(), DeadlineExceededError);
   EXPECT_TRUE(client.await(head).ok);
   server.stop();
+  testing::expect_counters_add_up(service, 1);
 }
 
 TEST(NetService, AdmissionRejectedRoundTripsOverTheWire) {
@@ -277,6 +281,7 @@ TEST(NetService, AdmissionRejectedRoundTripsOverTheWire) {
   EXPECT_GT(completed, 0);
   EXPECT_GT(rejected, 0);
   server.stop();
+  testing::expect_counters_add_up(service, completed);
 }
 
 TEST(NetService, ExecutionErrorRoundTripsOverTheWire) {
@@ -293,6 +298,7 @@ TEST(NetService, ExecutionErrorRoundTripsOverTheWire) {
   EXPECT_EQ(out.error.code, WireErrorCode::kExecutionError);
   EXPECT_THROW(out.rethrow(), ExecutionError);
   server.stop();
+  testing::expect_counters_add_up(service, 0);
 }
 
 TEST(NetService, UnknownAndInvalidRequestsAreTyped) {
@@ -377,6 +383,7 @@ TEST(NetService, StatsReplyRendersEveryMetric) {
   EXPECT_TRUE(seen.count("result_cache_misses"));
   EXPECT_TRUE(seen.count("plan_planned"));
   server.stop();
+  testing::expect_counters_add_up(service, 1);
 }
 
 TEST(NetService, PollReportsLifecycleStates) {

@@ -35,6 +35,7 @@
 
 #include "core/engine.hpp"
 #include "service/inference_service.hpp"
+#include "service_counters.hpp"
 
 namespace dynasparse {
 namespace {
@@ -197,6 +198,7 @@ TEST(ServiceStressTest, RandomizedSubmitWaitShutdownInterleavings) {
       EXPECT_EQ(rs.cancelled + rs.expired_in_queue + rs.expired_running,
                 aborted.load())
           << "round " << round;
+      testing::expect_counters_add_up(service, completed.load());
     }
   }
 }
@@ -212,9 +214,9 @@ TEST(ServiceStressTest, RandomizedSubmitWaitShutdownInterleavings) {
 //   - member isolation: no batchmate observes another member's abort —
 //     in rounds without a shutdown race, a request the submitter never
 //     cancelled and that carried no deadline MUST complete (a foreign
-//     abort leaking across a fused batch would surface exactly here);
+//     abort leaking across a batch would surface exactly here);
 //   - bit-identity: every completed report matches its sequential
-//     reference, fused or not.
+//     reference, batched or not.
 TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
   const ServiceRequest req_a = tiny_request(301, GnnModelKind::kGcn);
   const ServiceRequest req_b = tiny_request(302, GnnModelKind::kSgc);
@@ -279,7 +281,7 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
             bool did_cancel = false;
             if (rng() % 4 == 0) {
               // Cancel racing batch formation: the victim may be sitting
-              // in a half-collected group, running fused, or terminal.
+              // in a half-collected group, running, or terminal.
               try {
                 did_cancel = service.cancel(*id);
               } catch (const std::invalid_argument&) {
@@ -317,7 +319,7 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
           << "): some attempt neither resolved nor was refused";
       EXPECT_EQ(wrong_fingerprint.load(), 0)
           << "round " << round
-          << ": a fused batch member returned a wrong report";
+          << ": a batch member returned a wrong report";
       if (round % 2 != 0) {
         // No shutdown race: an uncancelled, deadline-free request must
         // never abort — a batchmate's cancel/expiry/fault is not allowed
@@ -334,6 +336,7 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
       EXPECT_EQ(rs.cancelled + rs.expired_in_queue + rs.expired_running,
                 aborted.load())
           << "round " << round;
+      testing::expect_counters_add_up(service, completed.load());
     }
   }
 }
@@ -420,6 +423,7 @@ TEST(ServiceStressTest, CancellerRacingWorkersKeepsExactAccounting) {
   RobustnessStats rs = service.robustness_stats();
   EXPECT_EQ(rs.cancelled, cancelled.load());
   EXPECT_EQ(rs.expired_in_queue + rs.expired_running, 0);  // no deadlines
+  testing::expect_counters_add_up(service, completed.load());
 }
 
 // Soak the blocking policy specifically: a deep burst through a depth-1
@@ -454,6 +458,7 @@ TEST(ServiceStressTest, BlockingPolicyDrainsDeepBurstThroughDepthOneQueue) {
   EXPECT_EQ(service.admission_stats().accepted, kThreads * kPerThread);
   EXPECT_EQ(service.admission_stats().rejected, 0);
   EXPECT_EQ(service.admission_stats().shed, 0);
+  testing::expect_counters_add_up(service, completed.load());
 }
 
 // Regression for the submit/shutdown race behind the network listener
@@ -486,7 +491,7 @@ TEST(ServiceStressTest, SubmitRacingShutdownAlwaysGetsATypedAnswer) {
       InferenceService service(opts);
 
       constexpr int kThreads = 4, kPerThread = 6;
-      std::atomic<long> attempts{0}, resolved{0};
+      std::atomic<long> attempts{0}, resolved{0}, round_completed{0};
       std::vector<std::thread> submitters;
       for (int t = 0; t < kThreads; ++t) {
         submitters.emplace_back([&] {
@@ -508,6 +513,7 @@ TEST(ServiceStressTest, SubmitRacingShutdownAlwaysGetsATypedAnswer) {
               InferenceReport rep = service.wait(id);
               EXPECT_EQ(rep.deterministic_fingerprint(), fp);
               ++completed;
+              ++round_completed;
             } catch (const AdmissionRejectedError&) {
               ++rejected;
             } catch (const CancelledError&) {
@@ -529,6 +535,7 @@ TEST(ServiceStressTest, SubmitRacingShutdownAlwaysGetsATypedAnswer) {
       service.shutdown();
       for (std::thread& t : submitters) t.join();
       EXPECT_EQ(resolved.load(), attempts.load()) << "policy round " << round;
+      testing::expect_counters_add_up(service, round_completed.load());
     }
   }
   // Two deterministic rounds pin each side of the race, since a loaded

@@ -21,6 +21,7 @@
 #include "core/engine.hpp"
 #include "service/inference_service.hpp"
 #include "service/request_stream.hpp"
+#include "service_counters.hpp"
 #include "util/fault_injection.hpp"
 #include "util/parallel.hpp"
 
@@ -91,6 +92,8 @@ TEST(ServiceTest, BatchBitIdenticalToSequential) {
                                         expected[i].execution.output.to_dense()),
               0.0f);
   }
+  testing::expect_counters_add_up(service,
+                                  static_cast<std::int64_t>(got.size()));
 }
 
 TEST(ServiceTest, CacheCountsHitsAcrossContentIdenticalRequests) {
@@ -121,6 +124,7 @@ TEST(ServiceTest, CacheCountsHitsAcrossContentIdenticalRequests) {
   stats = service.cache_stats();
   EXPECT_EQ(stats.misses, 3);
   EXPECT_EQ(stats.hits, 9);
+  testing::expect_counters_add_up(service, 12);
 }
 
 TEST(ServiceTest, InFlightCompilationsDeduplicate) {
@@ -234,6 +238,7 @@ TEST(ServiceTest, ConcurrentSubmittersAreRaceFree) {
   // Two unique contents -> exactly two compilations, whatever the
   // interleaving.
   EXPECT_EQ(service.cache_stats().misses, 2);
+  testing::expect_counters_add_up(service, kSubmitters * kPerThread);
 }
 
 TEST(ServiceTest, FailedRequestPropagatesAndServiceKeepsServing) {
@@ -424,6 +429,7 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   EXPECT_EQ(rcs.misses, 2);
   EXPECT_EQ(rcs.entries, 2);
   EXPECT_EQ(service.cache_stats().hits, 1);
+  testing::expect_counters_add_up(service, 3);
 }
 
 TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
@@ -517,6 +523,7 @@ TEST(ServiceTest, AdmissionRejectFailsFastAndShedFailsOldest) {
   EXPECT_EQ(completed + refused, 3);
   EXPECT_EQ(service.admission_stats().rejected, refused);
   EXPECT_EQ(service.admission_stats().accepted, completed);
+  testing::expect_counters_add_up(service, completed);
 
   // try_submit: non-blocking, returns nullopt instead of failing a slot.
   ServiceOptions t_opts;
@@ -537,6 +544,8 @@ TEST(ServiceTest, AdmissionRejectFailsFastAndShedFailsOldest) {
     }
     for (RequestId id : ids) EXPECT_NO_THROW((void)t_service.wait(id));
     EXPECT_EQ(t_service.admission_stats().rejected, nullopts);
+    testing::expect_counters_add_up(t_service,
+                                    static_cast<std::int64_t>(ids.size()));
   }
 
   // Shed-oldest: freshest traffic wins. Park the worker, overfill the
@@ -566,6 +575,7 @@ TEST(ServiceTest, AdmissionRejectFailsFastAndShedFailsOldest) {
   // by the push that sheds others and can only leave the queue by
   // running.
   EXPECT_GE(s_completed, 1);
+  testing::expect_counters_add_up(s_service, s_completed);
 }
 
 TEST(ServiceTest, OptionsValidatedAndEffectiveWorkersSurfaced) {
@@ -756,6 +766,7 @@ TEST(ServiceTest, DeadlineExpiredInQueueNeverReachesCompiler) {
     ServiceRequest fresh = make_request(132, GnnModelKind::kGcn);
     fresh.deadline_ms = 60'000;
     EXPECT_NO_THROW((void)service.wait(service.submit(fresh)));
+    testing::expect_counters_add_up(service, 2);
   }
   // The injector is process-global; don't leak the armed site into later
   // tests in this binary.
@@ -827,6 +838,7 @@ TEST(ServiceTest, ShutdownAbortsInFlightWork) {
   // queued tail (most of the batch) must have been aborted, not drained.
   EXPECT_GE(cancelled, 1);
   EXPECT_EQ(service.robustness_stats().cancelled, cancelled);
+  testing::expect_counters_add_up(service, completed);
 }
 
 TEST(ServiceTest, RequestStreamRoundTrip) {

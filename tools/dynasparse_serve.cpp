@@ -56,8 +56,9 @@
 //                     "250ms", "1.5s"; default 0 = none). A stream line's
 //                     own deadline_ms= wins over this.
 //   --batch-window U  continuous-batching collect window in MICROSECONDS
-//                     (default 0): fusion-compatible queued requests
-//                     gather this long and execute as one fused batch
+//                     (default 0): queued requests with equal plan and
+//                     dataset gather this long and are released as one
+//                     batch, whose members run one at a time
 //   --batch-max K     release a collecting batch at K members (default 0:
 //                     with a window, unlimited; K > 1 alone enables
 //                     opportunistic batching of already-queued bursts)
@@ -102,7 +103,6 @@
 
 #include "net/server.hpp"
 #include "service/request_stream.hpp"
-#include "util/fault_injection.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strict_parse.hpp"
 
@@ -224,36 +224,6 @@ int main(int argc, char** argv) {
   if (!plan_store_dir.empty() && !plan_store_given) plan_store = 32;
   if (memoize_mb > (std::numeric_limits<std::size_t>::max() >> 20))
     usage("--memoize-mb too large");  // << 20 below would overflow
-  if (!fault_spec.empty()) {
-    // Validate here so a typo is a usage error, not a service-constructor
-    // throw after the workload has already been materialized.
-    try {
-      (void)parse_fault_spec(fault_spec);
-    } catch (const std::exception& e) {
-      usage(std::string("bad value for --fault: ") + e.what());
-    }
-  }
-
-  // Parse and materialize outside the timed region: dataset/model
-  // generation stands in for request decoding, which a real frontend does
-  // off the hot path. Any workload error (bad stream line, unknown
-  // dataset tag) reports through usage() instead of an uncaught throw.
-  std::vector<ServiceRequest> pool;
-  if (listen_port < 0) {
-    try {
-      std::vector<StreamRequestSpec> specs =
-          stream_path.empty() ? synthetic_stream(requests, seed)
-                              : expand_stream(read_request_stream_file(stream_path));
-      if (specs.empty()) usage("empty request stream");
-      std::printf("replaying %zu requests (%s)\n", specs.size(),
-                  stream_path.empty() ? "synthetic mix" : stream_path.c_str());
-      pool.reserve(specs.size());
-      for (const StreamRequestSpec& spec : specs)
-        pool.push_back(materialize_request(spec));
-    } catch (const std::exception& e) {
-      usage(e.what());
-    }
-  }
 
   ServiceOptions opts;
   opts.workers = workers;
@@ -271,7 +241,8 @@ int main(int argc, char** argv) {
   opts.fault_spec = fault_spec;
   opts.batch_window_us = batch_window_us;
   opts.max_batch_size = batch_max;
-  // Options are validated/resolved by the service; report the effective
+  // Options are validated/resolved by the service — before any workload
+  // is materialized, so a bad value fails fast; report the effective
   // worker count (no hidden cap).
   InferenceService service = construct_or_usage<InferenceService>(opts);
   std::printf("service: %d workers, intra-op cap %d (0 = shared pool)\n",
@@ -306,6 +277,26 @@ int main(int argc, char** argv) {
     m.append(server.metrics());
     report(m, json_path);
     return 0;
+  }
+
+  // Parse and materialize outside the timed region: dataset/model
+  // generation stands in for request decoding, which a real frontend does
+  // off the hot path. Any workload error (bad stream line, unknown
+  // dataset tag) reports through usage() instead of an uncaught throw.
+  std::vector<ServiceRequest> pool;
+  try {
+    std::vector<StreamRequestSpec> specs =
+        stream_path.empty()
+            ? synthetic_stream(requests, seed)
+            : expand_stream(read_request_stream_file(stream_path));
+    if (specs.empty()) usage("empty request stream");
+    std::printf("replaying %zu requests (%s)\n", specs.size(),
+                stream_path.empty() ? "synthetic mix" : stream_path.c_str());
+    pool.reserve(specs.size());
+    for (const StreamRequestSpec& spec : specs)
+      pool.push_back(materialize_request(spec));
+  } catch (const std::exception& e) {
+    usage(e.what());
   }
 
   if (warm) {
