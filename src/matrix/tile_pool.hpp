@@ -80,10 +80,11 @@ class TilePool {
   using Builder = std::function<PartitionedMatrix()>;
 
   /// `max_entries` 0 disables pooling (every call builds privately).
-  /// `tier` (optional) mirrors resident bytes into the shared budget.
+  /// `tier` (optional) charges resident bytes to the shared budget, which
+  /// then drives shrink_to_bytes.
   explicit TilePool(std::size_t max_entries,
                     std::shared_ptr<MemoryBudget::Tier> tier = nullptr)
-      : impl_(max_entries, 0,
+      : impl_(max_entries,
               [](const PartitionedMatrix& m) {
                 return m.approx_footprint_bytes();
               },
@@ -101,8 +102,8 @@ class TilePool {
   }
 
   /// Evict unheld ready entries, LRU first, until resident bytes are at
-  /// most `target`. The budget's shrinker hook; held entries are skipped
-  /// and counted in stats().pinned_skips.
+  /// most `target` (what the budget's shrinker runs); held entries are
+  /// skipped and counted in stats().pinned_skips.
   void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
   TilePoolStats stats() const { return impl_.stats(); }

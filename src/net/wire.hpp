@@ -31,9 +31,10 @@
 // a message naming the offending field. try_extract_frame never reads
 // past `size` and never allocates more than kMaxFramePayload.
 //
-// Error-code round-trip: wire_error_code maps each taxonomy exception to
-// its code; rethrow_wire_error maps a code back to the same exception
-// type, so a client observes exactly the typed error a local
+// Error-code round-trip: the catch chain in
+// NetServer::finalize_completions (net/server.cpp) maps each taxonomy
+// exception to its code; rethrow_wire_error maps a code back to the same
+// exception type, so a client observes exactly the typed error a local
 // InferenceService::wait would have thrown (tested 1:1 in
 // tests/net_service_test.cpp).
 

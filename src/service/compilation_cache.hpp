@@ -8,8 +8,9 @@
 // Keys are content hashes (compiler/signature.hpp), so independently
 // constructed but identical inputs hit. The cache mechanics — a program
 // a request still executes is never evicted, in-flight compile dedup,
-// poisoned-entry erase on a throwing compile — live in the shared
-// util/keyed_future_cache.hpp core, which every reuse tier uses.
+// poisoned-entry erase on a throwing compile, the memory budget's
+// eviction hook — live in the shared util/keyed_future_cache.hpp core,
+// which every reuse tier uses.
 //
 // Thread-safe. Capacity 0 disables storage (every call compiles) but
 // still counts stats, which keeps the uncached baseline measurable
@@ -39,54 +40,45 @@ class CompilationCache {
   /// snapshot (service/plan_store.hpp) and routes through
   /// compile_with_plan, re-planning from scratch only for never-seen plan
   /// shapes. Null = every miss plans from scratch (the pre-PlanStore
-  /// behavior). `max_bytes` bounds the approximate resident program
-  /// footprint (0 = count-only LRU, the pre-budget behavior); `tier`
-  /// mirrors those bytes into a shared MemoryBudget; `pool` routes the
-  /// dataset operands of every miss-compile through the shared TilePool
-  /// (null = private copies).
+  /// behavior). `tier` charges the approximate resident program
+  /// footprint to a shared MemoryBudget, whose limit bounds it; `pool`
+  /// routes the dataset operands of every miss-compile through the
+  /// shared TilePool (null = private copies).
   explicit CompilationCache(std::size_t capacity = 16,
                             std::shared_ptr<PlanStore> plans = nullptr,
-                            std::size_t max_bytes = 0,
                             std::shared_ptr<MemoryBudget::Tier> tier = nullptr,
                             std::shared_ptr<TilePool> pool = nullptr)
-      : impl_(capacity, max_bytes,
+      : impl_(capacity,
               [](const CompiledProgram& p) { return p.approx_footprint_bytes(); },
               std::move(tier), LockRank::kCompileCache),
         plans_(std::move(plans)), pool_(std::move(pool)) {}
 
   /// Return the program for (model, ds, cfg), compiling at most once per
-  /// content key. May block while another thread compiles the same key.
-  /// Throws whatever compile() throws. `token` covers only a compile this
-  /// call runs itself: if the leader of an in-flight compile aborts
-  /// (cancel/deadline), joined waiters retry — and re-compile under their
-  /// own tokens — instead of inheriting the abort
-  /// (util/keyed_future_cache.hpp hand-off semantics).
-  std::shared_ptr<const CompiledProgram> get_or_compile(
-      const GnnModel& model, const Dataset& ds, const SimConfig& cfg,
-      const CancellationToken& token = {});
-
-  /// Same, with a caller-precomputed key — the service's memoized path
-  /// hashes the compile inputs once for its ResultKey and reuses the hash
-  /// here. `key` must equal make_compile_key(model, ds, cfg).
+  /// content key; `key` must equal make_compile_key(model, ds, cfg), and
+  /// its dataset hash also keys the tile pool. May block while another
+  /// thread compiles the same key. Throws whatever compile() throws.
+  /// `token` covers only a compile this call runs itself: if the leader
+  /// of an in-flight compile aborts (cancel/deadline), joined waiters
+  /// retry — and re-compile under their own tokens — instead of
+  /// inheriting the abort (util/keyed_future_cache.hpp hand-off
+  /// semantics).
   std::shared_ptr<const CompiledProgram> get_or_compile(
       const CompileKey& key, const GnnModel& model, const Dataset& ds,
-      const SimConfig& cfg, const CancellationToken& token = {});
+      const SimConfig& cfg, const CancellationToken& token = {}) {
+    return impl_.get_or_make(key, [&] {
+      OperandSource operands;
+      operands.pool = pool_.get();
+      operands.dataset_sig = key.dataset;
+      return std::make_shared<const CompiledProgram>(
+          plans_ ? plans_->compile_seeded(model, ds, cfg, token, operands)
+                 : compile(model, ds, cfg, token, operands));
+    });
+  }
 
   CacheStats stats() const { return impl_.stats(); }
   std::size_t capacity() const { return impl_.max_entries(); }
-  /// Budget shrinker hook: evict ready programs down to `target` bytes.
-  /// Dropping a program also drops its pool-operand references, which is
-  /// what lets the TilePool's own shrink pass (it runs after this one —
-  /// reverse registration order) collect the unpinned tiles.
-  void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
  private:
-  /// compile(), optionally plan-seeded through the store and
-  /// operand-pooled. `dataset_sig` keys the pool (0 = don't pool).
-  CompiledProgram compile_miss(const GnnModel& model, const Dataset& ds,
-                               const SimConfig& cfg, const CancellationToken& token,
-                               std::uint64_t dataset_sig) const;
-
   KeyedFutureCache<CompileKey, CompiledProgram> impl_;
   std::shared_ptr<PlanStore> plans_;
   std::shared_ptr<TilePool> pool_;

@@ -19,26 +19,30 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Byte weight of the compile and tile-pool tiers, and the compile
-/// cache's private byte ceiling while no memory budget is set.
-constexpr std::size_t kCompileTierBytes = std::size_t{512} << 20;
+/// Each cache tier's weight in the memory budget: its fair share of the
+/// limit when tiers compete, and, summed over the registered tiers, the
+/// limit that memory_budget_bytes = 0 resolves to. Plans are small
+/// (kilobytes against the caches' megabytes), so theirs is too.
+constexpr std::size_t kTilePoolWeight = std::size_t{512} << 20;
+constexpr std::size_t kPlanWeight = std::size_t{32} << 20;
+constexpr std::size_t kCompileWeight = std::size_t{512} << 20;
+constexpr std::size_t kResultWeight = std::size_t{256} << 20;
 
-/// The PlanStore for `opts`, or null when plan reuse is disabled. Plans
-/// are small (kilobytes against the caches' megabytes), so their tier
-/// weight is a fixed 32 MiB rather than a knob.
+/// The PlanStore for `opts`, or null when plan reuse is disabled.
 std::shared_ptr<PlanStore> make_plan_store(const ServiceOptions& opts,
                                            MemoryBudget& budget) {
   if (opts.plan_store_capacity == 0) return nullptr;
   PlanStoreOptions po;
   po.capacity = opts.plan_store_capacity;
   po.dir = opts.plan_store_dir;
-  po.tier = budget.register_tier("plans", static_cast<double>(32u << 20));
+  po.tier = budget.register_tier("plans", static_cast<double>(kPlanWeight));
   return std::make_shared<PlanStore>(std::move(po));
 }
 
-/// Reject nonsense, resolve defaults: options().workers always reports
-/// the count the service will actually run — the old silent
-/// min(hardware, 16) cap is now visible to callers.
+/// Reject nonsense, resolve defaults: options().workers and
+/// options().memory_budget_bytes always report what the service will
+/// actually run with — the old silent min(hardware, 16) cap is now
+/// visible to callers.
 ServiceOptions validate_and_resolve(ServiceOptions o) {
   if (o.workers < 0)
     throw std::invalid_argument("ServiceOptions::workers must be >= 0");
@@ -50,6 +54,9 @@ ServiceOptions validate_and_resolve(ServiceOptions o) {
     throw std::invalid_argument("ServiceOptions::batch_window_us must be >= 0");
   if (o.workers == 0) o.workers = std::min(parallel_hardware_threads(), 16);
   o.workers = std::max(o.workers, 1);
+  if (o.memory_budget_bytes == 0)
+    o.memory_budget_bytes = kTilePoolWeight + kCompileWeight + kResultWeight +
+                            (o.plan_store_capacity > 0 ? kPlanWeight : 0);
   return o;
 }
 
@@ -118,42 +125,22 @@ InferenceService::InferenceService(ServiceOptions options)
       budget_(std::make_shared<MemoryBudget>(options_.memory_budget_bytes)),
       // Tier registration order (pool, plans, compile, result) is the
       // reverse of shrink order — see the member-declaration comment.
-      // Under a budget (> 0) the private per-tier byte ceilings switch
-      // off and the byte knobs act as tier weights instead.
+      // Each cache wires its own shrinker to the tier it is given.
       tile_pool_(std::make_shared<TilePool>(
           options_.tile_pool_capacity,
-          budget_->register_tier("tile_pool",
-                                 static_cast<double>(kCompileTierBytes)))),
+          budget_->register_tier("tile_pool", static_cast<double>(kTilePoolWeight)))),
       plan_store_(make_plan_store(options_, *budget_)),
       cache_(options_.cache_capacity, plan_store_,
-             options_.memory_budget_bytes > 0 ? 0 : kCompileTierBytes,
-             budget_->register_tier("compile",
-                                    static_cast<double>(kCompileTierBytes)),
+             budget_->register_tier("compile", static_cast<double>(kCompileWeight)),
              tile_pool_),
       result_cache_(options_.result_cache_capacity,
-                    options_.memory_budget_bytes > 0 ? 0 : options_.result_cache_bytes,
-                    budget_->register_tier(
-                        "result", static_cast<double>(options_.result_cache_bytes))),
+                    budget_->register_tier("result", static_cast<double>(kResultWeight))),
       queue_(options_.max_queue_depth),
       batcher_(queue_, BatchPolicy{options_.batch_window_us, options_.max_batch_size},
                [](const Job& job) {
                  return make_batch_key(*job.request.model, *job.request.dataset,
                                        job.request.options.config);
                }) {
-  // Shrinkers bind after the caches exist; they capture raw pointers to
-  // members of this object, which is safe because the budget never calls
-  // them spontaneously — only from rebalance(), which only runs from
-  // inside a live cache's charge path.
-  budget_->bind_shrinker("tile_pool",
-                         [p = tile_pool_.get()](std::size_t t) { p->shrink_to_bytes(t); });
-  if (plan_store_)
-    budget_->bind_shrinker("plans", [p = plan_store_.get()](std::size_t t) {
-      p->shrink_to_bytes(t);
-    });
-  budget_->bind_shrinker("compile",
-                         [this](std::size_t t) { cache_.shrink_to_bytes(t); });
-  budget_->bind_shrinker("result",
-                         [this](std::size_t t) { result_cache_.shrink_to_bytes(t); });
   // Requests executed (or joined) by this service's destructor use the
   // shared pool; constructing the pool first pins its static lifetime
   // beyond this object's.
@@ -246,66 +233,64 @@ void InferenceService::worker_main() {
 }
 
 void InferenceService::process_batch(std::vector<Job>& jobs) {
-  // Chaos site: stall between dequeue and the deadline recheck — the
+  // Chaos site: stall between dequeue and the first member's start — the
   // window where a queued request goes stale. One draw per batch: with
   // batching off every batch is a singleton, so this is exactly the
   // pre-batching per-job behavior.
   if (fault_point(kFaultQueueDelay))
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  std::vector<RunnableMember> runnable;
-  bool notify = false;
-  {
-    std::lock_guard<OrderedMutex> lk(slots_mu_);
-    for (Job& job : jobs) {
+  // Members run one at a time, in arrival order, and each is published the
+  // moment it finishes: a member's failure stays its own, and a fast
+  // member never waits for its batchmates. A member stays kQueued until
+  // it starts, so cancel() and shutdown() fail a waiting member at once.
+  std::int64_t started = 0;  // members of this release that started
+  for (const Job& job : jobs) {
+    CancellationToken token;
+    {
+      std::lock_guard<OrderedMutex> lk(slots_mu_);
       auto it = slots_.find(job.id);
-      // Stale job: cancel()/shutdown failed the slot while it sat in the
-      // queue (and a waiter may even have consumed it already). Skip —
-      // a stale member drops out here without holding up its batchmates.
+      // Stale member: cancel()/shutdown failed the slot while it waited
+      // (and a waiter may even have consumed it already). Skip it.
       if (it == slots_.end() || it->second.state != RequestState::kQueued)
         continue;
       Slot& slot = it->second;
-      CancellationToken token = slot.source.token();
-      // Dequeue recheck: an expired request must never reach the
+      token = slot.source.token();
+      // Start-time recheck: an expired request must never reach the
       // compiler — fail it here, before any work.
       if (token.expired()) {
         if (fail_slot_locked(slot,
                              std::make_exception_ptr(DeadlineExceededError(
                                  "request deadline expired while queued"))))
           ++robust_.expired_in_queue;
-        notify = true;
+        slots_cv_.notify_all();
         continue;
       }
       slot.state = RequestState::kRunning;
       slot.started = std::chrono::steady_clock::now();
-      runnable.push_back(RunnableMember{&job, std::move(token)});
-    }
-    // Formation stats count runnable members only, so mean occupancy
-    // measures work actually released together, not queue bookkeeping.
-    // Unbatched mode records nothing — there are no "batches" to speak
-    // of and the counters stay zero as documented.
-    if (batcher_.policy().enabled() && !runnable.empty()) {
-      ++batch_.batches_formed;
-      batch_.batched_requests += static_cast<std::int64_t>(runnable.size());
-      if (runnable.size() >= 2) {
-        ++batch_.fused_batches;
-        batch_.fused_requests += static_cast<std::int64_t>(runnable.size());
+      // Formation stats count the members that started, so mean occupancy
+      // measures work actually released together, not queue bookkeeping.
+      // Unbatched mode records nothing — there are no "batches" to speak
+      // of and the counters stay zero as documented.
+      if (batcher_.policy().enabled()) {
+        ++started;
+        ++batch_.batched_requests;
+        if (started == 1) ++batch_.batches_formed;
+        if (started == 2) {  // the release fuses: count its first member too
+          ++batch_.fused_batches;
+          ++batch_.fused_requests;
+        }
+        if (started >= 2) ++batch_.fused_requests;
       }
     }
-  }
-  if (notify) slots_cv_.notify_all();
-  // Members run one at a time, in arrival order, and each is published the
-  // moment it finishes: a member's failure stays its own, and a fast
-  // member never waits for its batchmates.
-  for (const RunnableMember& m : runnable) {
-    const ServiceRequest& req = m.job->request;
+    const ServiceRequest& req = job.request;
     InferenceReport report;
     std::exception_ptr error;
     try {
-      report = run_request(*req.model, *req.dataset, req.options, m.token);
+      report = run_request(*req.model, *req.dataset, req.options, token);
     } catch (...) {
       error = std::current_exception();
     }
-    publish_result(m.job->id, std::move(report), std::move(error), m.token);
+    publish_result(job.id, std::move(report), std::move(error), token);
   }
 }
 
@@ -322,28 +307,23 @@ InferenceReport InferenceService::run_request(const GnnModel& model,
   ParallelMaxThreadsScope scope(
       combine_caps(options_.intra_op_threads, options.runtime.host_threads));
   token.check();
-  // Compile (or fetch) and execute. Without memoization (`key` null) the
-  // key-less lookup skips the content hash when the compilation cache is
-  // off too.
-  auto run = [&](const CompileKey* key) {
+  // The compile key is hashed once: it keys the compilation cache and,
+  // extended with the runtime-options signature, the result cache.
+  const CompileKey ckey = make_compile_key(model, ds, options.config);
+  auto run = [&] {
     std::shared_ptr<const CompiledProgram> prog =
-        key ? cache_.get_or_compile(*key, model, ds, options.config, token)
-            : cache_.get_or_compile(model, ds, options.config, token);
+        cache_.get_or_compile(ckey, model, ds, options.config, token);
     InferenceReport report = run_compiled(*prog, options.runtime, token);
     report.dataset_tag = ds.spec.tag;
     return report;
   };
-  if (!result_cache_.enabled()) return run(nullptr);
-  // The ResultKey extends the compile key with the runtime-options
-  // signature; the compilation cache reuses its compile half instead of
-  // rehashing. Equal ResultKeys imply bit-identical deterministic report
-  // fields (determinism contract), so a hit is served without compiling
-  // or executing. The fill runs under this request's token: if it aborts,
+  if (!result_cache_.enabled()) return run();
+  // Equal ResultKeys imply bit-identical deterministic report fields
+  // (determinism contract), so a hit is served without compiling or
+  // executing. The fill runs under this request's token: if it aborts,
   // same-key requests joined on other threads retry under their own
   // tokens (ResultCache::get_or_run's in-flight dedup and hand-off).
-  const ResultKey key = make_result_key(
-      make_compile_key(model, ds, options.config), options.runtime);
-  return result_cache_.get_or_run(key, [&] { return run(&key.compile); });
+  return result_cache_.get_or_run(make_result_key(ckey, options.runtime), run);
 }
 
 void InferenceService::publish_result(RequestId id, InferenceReport&& report,

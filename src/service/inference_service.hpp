@@ -53,8 +53,10 @@
 // (run_request: compile, then RuntimeSystem::execute), and publishes each
 // member the moment it finishes. Reports are therefore bit-identical to
 // running alone, and cancellation, deadlines and injected faults fail
-// exactly the affected member. Both knobs 0 (the default) release one job
-// at a time. batch_stats() reports formation counters.
+// exactly the affected member. A member stays kQueued until its turn, so
+// cancel() fails it at once, its deadline is rechecked when it starts,
+// and its queue_ms covers its wait. Both knobs 0 (the default) release
+// one job at a time. batch_stats() reports formation counters.
 //
 // Admission control (ServiceOptions::max_queue_depth + admission): a
 // bounded queue gives submit() backpressure under overload — block the
@@ -69,10 +71,11 @@
 // Both resolve through one per-slot CancellationSource
 // (util/cancellation.hpp) whose token is threaded down the
 // compile/execute pipeline and checked at stage, planner-loop, and
-// kernel boundaries. A queued request whose deadline passes is
-// failed at dequeue with DeadlineExceededError before any compile work
-// (the expired_in_queue stat counts these); a running one aborts at the
-// next check. Aborts only ever abort: a request that completes is
+// kernel boundaries. A queued request whose deadline passes is failed
+// with DeadlineExceededError when it would start, before any compile
+// work (the expired_in_queue stat counts these; a batch member stays
+// queued until its turn); a running one aborts at the next check.
+// Aborts only ever abort: a request that completes is
 // bit-identical to an uncancellable run. Errors surface through wait()
 // as a small typed taxonomy — CancelledError, DeadlineExceededError,
 // AdmissionRejectedError, ExecutionError (everything else, message
@@ -133,7 +136,7 @@ struct ServiceRequest {
   /// ServiceOptions::default_deadline_ms (which may itself be 0 = none);
   /// negative values are rejected with std::invalid_argument. When the
   /// deadline passes, the request fails with DeadlineExceededError — at
-  /// dequeue if it never started (expired_in_queue), or at the next
+  /// its start if it never started (expired_in_queue), or at the next
   /// cooperative check if it was already executing.
   std::int64_t deadline_ms = 0;
 
@@ -147,8 +150,9 @@ using RequestId = std::uint64_t;
 
 /// Per-request wall-clock breakdown (steady clock, milliseconds).
 struct RequestTiming {
-  double queue_ms = 0.0;  // submit -> worker pickup
-  double exec_ms = 0.0;   // pickup -> completion (includes compile/cache)
+  double queue_ms = 0.0;  // submit -> start (a batch member also waits
+                          // here for the members ahead of it)
+  double exec_ms = 0.0;   // start -> completion (includes compile/cache)
   double total_ms = 0.0;  // submit -> completion
 };
 
@@ -195,7 +199,7 @@ struct ExecutionError : std::runtime_error {
 
 /// Deadline/cancellation/failure counters (slots_mu_-guarded snapshots).
 struct RobustnessStats {
-  std::int64_t expired_in_queue = 0;  // deadline passed before pickup;
+  std::int64_t expired_in_queue = 0;  // deadline passed before start;
                                       // never reached the compiler
   std::int64_t expired_running = 0;   // deadline fired mid-execution
   std::int64_t cancelled = 0;         // aborted by cancel() or shutdown
@@ -212,15 +216,15 @@ struct AdmissionStats {
 };
 
 /// Continuous-batching counters (slots_mu_-guarded snapshots). A "batch"
-/// here is one BatchScheduler release with at least one still-runnable
-/// member (stale/expired members are excluded, so occupancy measures work
-/// actually released together, not queue bookkeeping). All zero with
+/// here is one BatchScheduler release with at least one member that
+/// started (stale/expired members are excluded, so occupancy measures
+/// work actually released together, not queue bookkeeping). All zero with
 /// batching off — every dequeue is then a singleton and is not counted as
 /// a batch.
 struct BatchStats {
-  std::int64_t batches_formed = 0;   // releases with >= 1 runnable member
-  std::int64_t batched_requests = 0; // runnable members across them
-  std::int64_t fused_batches = 0;    // releases with >= 2 runnable members
+  std::int64_t batches_formed = 0;   // releases with >= 1 started member
+  std::int64_t batched_requests = 0; // started members across them
+  std::int64_t fused_batches = 0;    // releases with >= 2 started members
   std::int64_t fused_requests = 0;   // members of those releases
   double mean_occupancy() const {
     return batches_formed > 0
@@ -242,15 +246,17 @@ struct ServiceOptions {
   /// CompilationCache capacity (programs). 0 disables caching.
   std::size_t cache_capacity = 16;
   /// ONE process-wide byte budget spanning every reuse tier — tile pool,
-  /// plan store, compilation cache, result cache (util/memory_budget.hpp).
-  /// 0 (default) keeps the pre-budget behavior: each tier enforces its
-  /// own private byte ceiling (512 MiB of compiled programs,
-  /// result_cache_bytes of reports) and the budget only tracks totals
-  /// and high-water stats. > 0: the private ceilings switch off, the
-  /// same byte figures become soft WEIGHTS deciding each tier's fair
-  /// share, and crossing the limit triggers weighted cross-tier eviction.
-  /// The invariant is "quiesced total <= limit" — a charge may
-  /// transiently overshoot until the rebalance it requests runs.
+  /// plan store, compilation cache, result cache (util/memory_budget.hpp)
+  /// — and the only byte bound on them. Each tier has a fixed weight, its
+  /// fair share of the limit: 512 MiB for the tile pool and for compiled
+  /// programs, 256 MiB for reports, 32 MiB for plans. A tier may hold
+  /// more than its share while the others are under theirs; crossing the
+  /// limit triggers weighted cross-tier eviction. 0 (default) resolves to
+  /// the sum of the registered tiers' weights — 1280 MiB, or 1312 MiB
+  /// with a plan store — and options().memory_budget_bytes reports the
+  /// effective limit. The aim is "quiesced total <= limit": a charge may
+  /// overshoot until the rebalance it requests runs, and entries that
+  /// are still held stay resident (README, "Memory model").
   std::size_t memory_budget_bytes = 0;
   /// TilePool capacity in pooled operands (src/matrix/tile_pool.hpp):
   /// programs compiled from the same dataset under the same partition
@@ -281,9 +287,6 @@ struct ServiceOptions {
   /// cached entry returns the stored report — bit-identical in every
   /// deterministic field — without executing.
   std::size_t result_cache_capacity = 0;
-  /// Approximate byte bound for resident memoized reports (they carry
-  /// the full functional output matrix). 0 = bounded by count only.
-  std::size_t result_cache_bytes = 256u << 20;
   /// PlanStore capacity in plans (service/plan_store.hpp). 0 disables
   /// cross-request plan reuse (the default): every compilation-cache miss
   /// plans its partitions from scratch. When > 0, a miss first consults
@@ -409,8 +412,8 @@ class InferenceService {
   PlanStoreStats plan_store_stats() const {
     return plan_store_ ? plan_store_->stats() : PlanStoreStats{};
   }
-  /// The process-wide byte arbiter all reuse tiers register with. Always
-  /// present; track-only while ServiceOptions::memory_budget_bytes is 0.
+  /// The process-wide byte arbiter all reuse tiers register with; its
+  /// limit is options().memory_budget_bytes.
   MemoryBudget& memory_budget() { return *budget_; }
   MemoryBudgetStats memory_budget_stats() const { return budget_->stats(); }
   /// The shared operand pool (capacity 0 = sharing disabled, but the
@@ -429,7 +432,8 @@ class InferenceService {
   /// pool (`threads_`) and each armed fault site (`fault_<site>_`, dots
   /// as underscores). Every stats output renders this list.
   Metrics metrics() const;
-  /// Resolved options: workers is the effective worker count (never 0).
+  /// Resolved options: workers is the effective worker count and
+  /// memory_budget_bytes the effective limit (neither is ever 0).
   const ServiceOptions& options() const { return options_; }
 
   /// Process-wide service backing core/engine.hpp's run_inference: a
@@ -459,18 +463,11 @@ class InferenceService {
     bool cancel_counted = false;
   };
 
-  /// One batch member after the dequeue-time slot recheck: the job plus
-  /// the token snapshot taken while marking its slot kRunning.
-  struct RunnableMember {
-    const Job* job = nullptr;
-    CancellationToken token;
-  };
-
   void ensure_workers();
   void worker_main();
-  /// Process one BatchScheduler release: per-member stale/expired slot
-  /// recheck, then run_request and publication for each runnable member
-  /// in turn.
+  /// Process one BatchScheduler release member by member: each member's
+  /// stale/expired recheck and kRunning mark happen under slots_mu_ right
+  /// before its run_request, then it is published.
   void process_batch(std::vector<Job>& jobs);
   /// The service's one execution path, for a queued member and run_one
   /// alike: token check, key hashing, result-cache claim, compile,

@@ -48,7 +48,7 @@ bool plan_snapshot_compatible(const IrSnapshot& snap, const GnnModel& model,
 
 PlanStore::PlanStore(PlanStoreOptions options)
     : options_(std::move(options)),
-      impl_(options_.capacity, 0, stored_plan_bytes, options_.tier,
+      impl_(options_.capacity, stored_plan_bytes, options_.tier,
             LockRank::kPlanStore) {
   if (!options_.dir.empty() && enabled()) {
     std::error_code ec;

@@ -135,8 +135,6 @@ class PlanStore {
                                                 const CancellationToken& token = {});
 
   PlanStoreStats stats() const;
-  /// Budget shrinker hook: evict memory-tier plans down to `target` bytes.
-  void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
   /// Disk-tier file path for a plan signature (inside options().dir).
   std::string disk_path(std::uint64_t key) const;

@@ -10,14 +10,14 @@
 // enforce). A repeat request therefore returns the stored
 // InferenceReport without executing anything.
 //
-// Entries are bounded two ways: by report count and by approximate
-// resident bytes (InferenceReport::approx_footprint_bytes — reports
-// carry the full functional output matrix, so a byte bound is what
-// actually caps memory); whichever bound is exceeded evicts, LRU-first.
+// Entries are bounded by report count and, through the service's
+// MemoryBudget tier, by the budget's limit on approximate resident bytes
+// (InferenceReport::approx_footprint_bytes — reports carry the full
+// functional output matrix, so bytes are what actually cost memory).
 // The cache mechanics (in-flight dedup, poisoned-entry erase on a
-// throwing run, never evicting a report a caller still holds) live in
-// the shared util/keyed_future_cache.hpp core, which every reuse tier
-// uses.
+// throwing run, never evicting a report a caller still holds, the
+// budget's eviction hook) live in the shared util/keyed_future_cache.hpp
+// core, which every reuse tier uses.
 //
 // Thread-safe. max_entries 0 disables storage (every call executes) but
 // still counts stats, keeping the memoization-off baseline measurable
@@ -38,12 +38,11 @@ using ResultCacheStats = KeyedCacheStats;
 
 class ResultCache {
  public:
-  /// max_entries 0 disables memoization. max_bytes bounds the approximate
-  /// resident footprint of ready entries (0 = unbounded by bytes).
-  /// `tier` (optional) mirrors those bytes into a shared MemoryBudget.
-  explicit ResultCache(std::size_t max_entries = 0, std::size_t max_bytes = 0,
+  /// max_entries 0 disables memoization. `tier` (optional) charges the
+  /// reports' bytes to a shared MemoryBudget, whose limit bounds them.
+  explicit ResultCache(std::size_t max_entries = 0,
                        std::shared_ptr<MemoryBudget::Tier> tier = nullptr)
-      : impl_(max_entries, max_bytes,
+      : impl_(max_entries,
               [](const InferenceReport& r) { return r.approx_footprint_bytes(); },
               std::move(tier), LockRank::kResultCache) {}
 
@@ -63,9 +62,6 @@ class ResultCache {
   }
 
   ResultCacheStats stats() const { return impl_.stats(); }
-
-  /// Budget shrinker hook: evict ready reports down to `target` bytes.
-  void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
  private:
   KeyedFutureCache<ResultKey, InferenceReport> impl_;

@@ -6,27 +6,27 @@
 //   - in-flight dedup: the first requester of an absent key runs the
 //     factory; concurrent requesters for the same key block on a
 //     shared_future instead of running it again;
-//   - LRU eviction bounded by entry count and, when a weigher is
-//     provided, by the approximate resident bytes of ready entries
-//     (whichever bound is exceeded evicts);
+//   - LRU eviction bounded by entry count;
 //   - one eviction rule: a ready entry that a caller still holds (its
 //     value's use_count is above the cache's own reference) is never
-//     evicted — not by the count bound, the private byte bound, a budget
-//     shrink or clear(). Dropping it would free nothing, credit the
-//     budget for bytes that stay resident, and make the next request for
-//     the key build a second copy. Each skip counts in pinned_skips; the
-//     entry leaves on a later pass once its last holder lets go (every
-//     fill and every ready hit runs one while a bound is exceeded). For
-//     this to count only real holders, an entry keeps its ready value beside
-//     the fill future and drops the future once the value is published
-//     (the future's shared state holds a value copy of its own);
-//   - shared-budget accounting: with a MemoryBudget tier attached, every
-//     byte the private accounting tracks is mirrored into the
-//     process-wide budget (charge on entry-ready, credit on
-//     evict/clear/failed-fill), and a charge that pushes the budget over
-//     its limit triggers a cross-tier rebalance AFTER this cache's lock
-//     is released (lock order is always cache -> budget). The budget
-//     drives evictions back through shrink_to_bytes();
+//     evicted — not by the count bound, a budget shrink or clear().
+//     Dropping it would free nothing, credit the budget for bytes that
+//     stay resident, and make the next request for the key build a
+//     second copy. Each skip counts in pinned_skips; the entry leaves on
+//     a later pass once its last holder lets go (every fill and every
+//     ready hit runs one while the count bound is exceeded). For this to
+//     count only real holders, an entry keeps its ready value beside the
+//     fill future and drops the future once the value is published (the
+//     future's shared state holds a value copy of its own);
+//   - byte accounting against a shared MemoryBudget: with a weigher and
+//     a budget tier, every ready entry's bytes are charged to the tier
+//     (credited on evict/clear), and the budget's limit is the cache's
+//     only byte bound. The cache installs its own shrink_to_bytes as the
+//     tier's shrinker when it is constructed and clears it when it is
+//     destroyed (one cache per tier). A charge that pushes the budget
+//     over its limit triggers a cross-tier rebalance AFTER this cache's
+//     lock is released (lock order is always cache -> budget), and the
+//     budget drives evictions back through shrink_to_bytes();
 //   - poisoned-entry erase: a factory that throws fails every joined
 //     waiter and removes the entry *before* the failure is published, so
 //     a later request for that key retries instead of observing the
@@ -46,19 +46,25 @@
 //
 // max_entries 0 disables storage — every call runs the factory and
 // counts a miss, which keeps an uncached baseline measurable through the
-// same code path (callers may then skip computing a real key).
+// same code path.
 //
 // In-flight and held entries are never evicted, so the cache may exceed
 // max_entries while more keys run or are held than fit. A lone value
-// heavier than the hard byte ceiling — the private max_bytes, or the
-// whole shared budget when the cache runs under one without a private
-// bound — is dropped by its own insertion: returned to the caller, never
-// resident, never charged, and without evicting any other entry as
-// collateral (admit-then-drop, pinned by tests/memory_budget_test.cpp).
-// The one exception is Oversize::kKeep, which only the TilePool sets: a
-// program does not count the operands it takes from the pool, so an
-// operand the pool dropped would be held but counted nowhere. Under
-// kKeep an oversize value stays resident and charged like any other.
+// heavier than the whole budget limit is dropped by its own insertion:
+// returned to the caller, never resident, never charged, and without
+// evicting any other entry as collateral (admit-then-drop, pinned by
+// tests/memory_budget_test.cpp). The one exception is Oversize::kKeep,
+// which only the TilePool sets: a program does not count the operands
+// it takes from the pool, so an operand the pool dropped would be held
+// but counted nowhere. Under kKeep an oversize value stays resident and
+// charged like any other.
+//
+// Lifetime rule for a cache with a budget tier: destroy it only when no
+// fill into the same budget can run. A rebalance copies the shrinkers it
+// calls under the budget's lock and calls them after releasing it, so a
+// fill into another tier may still reach this cache's shrinker after
+// the destructor cleared it. InferenceService meets the rule: it joins
+// its workers before its caches are destroyed.
 
 #include <cstdint>
 #include <functional>
@@ -89,7 +95,8 @@ struct CacheFillFailedError : std::runtime_error {
 struct KeyedCacheStats {
   std::int64_t hits = 0;            // key found (ready or in-flight)
   std::int64_t misses = 0;          // key absent; this call ran the factory
-  std::int64_t evictions = 0;       // entries dropped by LRU (count or bytes)
+  std::int64_t evictions = 0;       // entries dropped (count bound, budget
+                                    // shrink, clear or oversize)
   std::int64_t inflight_joins = 0;  // hits that waited on a run in flight
   std::int64_t aborted_retries = 0; // joins that retried after their leader
                                     // aborted cooperatively (hand-off)
@@ -100,7 +107,7 @@ struct KeyedCacheStats {
                                     // own: sum of (use_count - 1)
 };
 
-/// What happens to a lone value heavier than the hard byte ceiling (see
+/// What happens to a lone value heavier than the whole budget limit (see
 /// the file comment): kDrop = admit-then-drop, kKeep = stay resident.
 enum class Oversize { kDrop, kKeep };
 
@@ -110,22 +117,30 @@ class KeyedFutureCache {
   using Weigher = std::function<std::size_t(const V&)>;
   using BudgetTier = std::shared_ptr<MemoryBudget::Tier>;
 
-  /// max_bytes 0 = unbounded by bytes; `weigh` empty = no byte
-  /// accounting. `tier` (optional) mirrors the byte accounting into a
-  /// shared MemoryBudget — pass max_bytes 0 alongside it to let the
-  /// budget, not a private ceiling, bound this cache.
+  /// `weigh` empty = no byte accounting. `tier` (optional) charges the
+  /// weighed bytes to a shared MemoryBudget, whose limit bounds them; the
+  /// cache wires its shrink_to_bytes to the tier here and unwires it in
+  /// its destructor (see the lifetime rule in the file comment).
   /// `rank` places this cache's mutex in the global lock hierarchy
   /// (util/ordered_mutex.hpp): each wrapper passes its own rank
   /// (kResultCache / kCompileCache / kPlanStore / kTilePool), all of
   /// which order before kMemoryBudget — the cache -> budget contract
   /// above. `oversize` is kKeep only for the TilePool.
-  explicit KeyedFutureCache(std::size_t max_entries, std::size_t max_bytes = 0,
-                            Weigher weigh = {}, BudgetTier tier = nullptr,
+  explicit KeyedFutureCache(std::size_t max_entries, Weigher weigh = {},
+                            BudgetTier tier = nullptr,
                             LockRank rank = LockRank::kResultCache,
                             Oversize oversize = Oversize::kDrop)
-      : max_entries_(max_entries), max_bytes_(max_bytes),
-        weigh_(std::move(weigh)), tier_(std::move(tier)), oversize_(oversize),
-        mu_(rank) {}
+      : max_entries_(max_entries), weigh_(std::move(weigh)),
+        tier_(std::move(tier)), oversize_(oversize), mu_(rank) {
+    if (tier_) tier_->set_shrinker([this](std::size_t t) { shrink_to_bytes(t); });
+  }
+
+  ~KeyedFutureCache() {
+    if (tier_) tier_->set_shrinker({});
+  }
+
+  KeyedFutureCache(const KeyedFutureCache&) = delete;
+  KeyedFutureCache& operator=(const KeyedFutureCache&) = delete;
 
   /// Return the value for `key`, running `make` at most once per key. May
   /// block while another thread runs the same key. The caller that ran
@@ -158,7 +173,7 @@ class KeyedFutureCache {
             // Copy first, so the hit entry counts as held; then let the
             // pass evict what an earlier holder pinned over the bounds.
             std::shared_ptr<const V> value = it->second.value;
-            evict_to_bounds_locked();
+            evict_to_count_locked();
             return value;
           }
           ++stats_.inflight_joins;
@@ -200,8 +215,7 @@ class KeyedFutureCache {
           auto it = entries_.find(key);
           if (it != entries_.end()) {
             if (std::size_t hard = hard_byte_cap(); hard > 0 && bytes > hard) {
-              // The value alone exceeds the byte bound (the private
-              // ceiling, or the whole shared budget): it can never stay
+              // The value alone exceeds the whole budget: it can never stay
               // resident, so drop only it — running the LRU sweep instead
               // would evict every older entry first (the newcomer sits at
               // the MRU end) and flush the whole cache as collateral. It
@@ -223,7 +237,7 @@ class KeyedFutureCache {
               if (tier_) need_rebalance = tier_->charge(bytes);
             }
           }
-          evict_to_bounds_locked();
+          evict_to_count_locked();
         }
         // Cross-tier pressure runs with no cache lock held: the budget's
         // shrinkers re-enter caches (this one included) through
@@ -313,13 +327,10 @@ class KeyedFutureCache {
       std::numeric_limits<std::int64_t>::max();
 
   /// The ceiling a single value must fit under to stay resident: the
-  /// private max_bytes when set, else the shared budget's limit; 0 (no
-  /// ceiling) under Oversize::kKeep.
+  /// budget's limit; 0 (no ceiling) without a tier, under a track-only
+  /// budget, or under Oversize::kKeep.
   std::size_t hard_byte_cap() const {
-    if (oversize_ == Oversize::kKeep) return 0;
-    if (max_bytes_ > 0) return max_bytes_;
-    if (tier_) return tier_->owner().limit_bytes();
-    return 0;
+    return tier_ && oversize_ == Oversize::kDrop ? tier_->owner().limit_bytes() : 0;
   }
 
   /// Remove `key` after a failed fill (the leader is about to publish
@@ -340,14 +351,9 @@ class KeyedFutureCache {
     e.lru_pos = std::prev(lru_.end());
   }
 
-  /// The eviction pass against this cache's own bounds (count and private
-  /// bytes), run after every fill and every ready hit; mu_ held. A no-op
-  /// unless a bound is exceeded.
-  void evict_to_bounds_locked() {
-    evict_locked(max_entries_, max_bytes_ > 0
-                                   ? static_cast<std::int64_t>(max_bytes_)
-                                   : kNoByteBound);
-  }
+  /// The count-bound pass, run after every fill and every ready hit; mu_
+  /// held. A no-op unless the cache holds more than max_entries.
+  void evict_to_count_locked() { evict_locked(max_entries_, kNoByteBound); }
 
   /// The one eviction pass: drop ready, unheld entries LRU-first while
   /// more than `max_count` entries or `max_bytes` weighed bytes are
@@ -380,7 +386,6 @@ class KeyedFutureCache {
   }
 
   const std::size_t max_entries_;
-  const std::size_t max_bytes_;
   const Weigher weigh_;
   const BudgetTier tier_;
   const Oversize oversize_;

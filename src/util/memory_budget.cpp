@@ -53,16 +53,6 @@ std::shared_ptr<MemoryBudget::Tier> MemoryBudget::register_tier(std::string name
   return tiers_.back();
 }
 
-void MemoryBudget::bind_shrinker(const std::string& name,
-                                 std::function<void(std::size_t)> shrink) {
-  std::lock_guard<OrderedMutex> lk(mu_);
-  for (auto& tier : tiers_)
-    if (tier->name_ == name) {
-      tier->shrink_ = std::move(shrink);
-      return;
-    }
-}
-
 std::vector<std::size_t> MemoryBudget::targets_locked() const {
   // Waterfill: tiers at or under their weighted share keep their bytes
   // (their target is what they hold), and the capacity they leave unused

@@ -1,19 +1,18 @@
 #pragma once
 // MemoryBudget — one process-wide byte arbiter spanning every cache tier.
 //
-// Before this existed, each reuse tier (CompilationCache, ResultCache,
-// PlanStore) carried a private byte ceiling and the resident footprint of
-// the process was whatever the sum happened to be. The budget inverts
-// that: tiers register once with a name and a weight, charge/credit the
-// bytes they hold as entries become ready or are evicted, and the budget
-// enforces ONE limit across all of them. When the sum exceeds the limit,
-// rebalance() computes weighted per-tier targets — a waterfill over the
-// tier weights: tiers under their fair share keep what they have, and
-// the remaining capacity is split among the over-share tiers in
-// proportion to their weights — and invokes each over-target tier's
-// shrinker (the cache-side eviction hook). limit_bytes 0 = track-only:
-// charges and high-water stats are recorded but nothing ever shrinks,
-// which keeps the pre-budget per-tier-ceiling behavior available.
+// Every reuse tier (the TilePool, PlanStore, CompilationCache and
+// ResultCache) registers once with a name and a weight and charges or
+// credits the bytes it holds as entries become ready or are evicted. The
+// budget's ONE limit is the only byte bound on those tiers. When the sum
+// exceeds the limit, rebalance() computes weighted per-tier targets — a
+// waterfill over the tier weights: tiers under their fair share keep what
+// they have, and the remaining capacity is split among the over-share
+// tiers in proportion to their weights — and invokes each over-target
+// tier's shrinker (the cache-side eviction hook, which a KeyedFutureCache
+// built with the tier installs itself). limit_bytes 0 = track-only, for
+// standalone use: charges and high-water stats are recorded but nothing
+// ever shrinks.
 //
 // Locking contract (what lets this arbiter sit underneath every cache
 // without ordering their mutexes against each other):
@@ -34,8 +33,11 @@
 // Tier::charge() returns whether that is needed. Concurrent rebalance
 // calls coalesce (a second caller returns immediately; the running pass
 // brings the pool under). Between a charge and the rebalance it requests
-// the sum may transiently exceed the limit — the invariant the budget
-// maintains is "quiesced total <= limit", not an allocation gate.
+// the sum may transiently exceed the limit — the budget aims at
+// "quiesced total <= limit", not an allocation gate. Held entries can
+// keep it above: shrinkers skip them, and a tier whose entries hold
+// another tier's (cached programs holding pool operands) is not shrunk
+// while it is under its own share, so the pinned tier stays over.
 //
 // The budget must outlive every Tier handle use; in the service it is a
 // member declared before all tier-holding caches, so destruction order
@@ -83,8 +85,9 @@ class MemoryBudget {
     /// Install the eviction hook rebalance() drives: shrink resident
     /// bytes to at most `target`. Best-effort — in-flight fills and
     /// entries a caller still holds (e.g. pool operands referenced by
-    /// live programs) may keep the tier above target. Install before
-    /// traffic; may be re-set.
+    /// live programs) may keep the tier above target. A KeyedFutureCache
+    /// built with this tier installs its own and clears it (an empty
+    /// function) when destroyed.
     void set_shrinker(std::function<void(std::size_t)> shrink);
     std::int64_t bytes() const;
     MemoryBudget& owner() const { return *owner_; }
@@ -106,22 +109,14 @@ class MemoryBudget {
   /// limit_bytes 0 = track-only (never shrinks anything).
   explicit MemoryBudget(std::size_t limit_bytes = 0) : limit_(limit_bytes) {}
 
-  /// Drops every tier's shrinker. Shrinkers routinely capture an owning
-  /// reference to their cache while the cache holds the Tier handle —
-  /// the budget severing the callback edge on teardown is what keeps
-  /// that pair from becoming a shared_ptr cycle that outlives everyone.
+  /// Drops every tier's shrinker. A shrinker that captures an owning
+  /// reference to its cache, while the cache holds the Tier handle,
+  /// would otherwise form a shared_ptr cycle that outlives everyone.
   ~MemoryBudget();
 
   /// Register a tier. `weight` sets its fair share of the limit relative
-  /// to the other tiers (the old per-tier byte knobs plug in here as soft
-  /// weights); non-positive weights are clamped to 1.
+  /// to the other tiers; non-positive weights are clamped to 1.
   std::shared_ptr<Tier> register_tier(std::string name, double weight);
-
-  /// Install `shrink` on the tier registered under `name`; no-op for an
-  /// unknown name. Convenience for callers that wire shrinkers after the
-  /// tier-holding caches are constructed.
-  void bind_shrinker(const std::string& name,
-                     std::function<void(std::size_t)> shrink);
 
   /// Enforce the limit: while the charged sum exceeds it (and progress is
   /// being made, up to three passes), compute waterfilled per-tier

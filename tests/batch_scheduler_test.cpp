@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -177,11 +179,15 @@ std::vector<ServiceRequest> compatible_requests(std::size_t n, GnnModelKind kind
   return reqs;
 }
 
-std::uint64_t solo_fingerprint(const ServiceRequest& req) {
+InferenceReport solo_report(const ServiceRequest& req) {
   CompiledProgram prog = compile(*req.model, *req.dataset, req.options.config);
   InferenceReport rep = run_compiled(prog, req.options.runtime);
   rep.dataset_tag = req.dataset->spec.tag;
-  return rep.deterministic_fingerprint();
+  return rep;
+}
+
+std::uint64_t solo_fingerprint(const ServiceRequest& req) {
+  return solo_report(req).deterministic_fingerprint();
 }
 
 TEST(BatchServiceFusion, FusedReportsAreBitIdenticalToSoloAcrossSweep) {
@@ -338,6 +344,81 @@ TEST(BatchServiceFusion, UnbatchedDefaultsKeepCountersZero) {
   EXPECT_EQ(bs.batches_formed, 0);
   EXPECT_EQ(bs.batched_requests, 0);
   testing::expect_counters_add_up(svc, 3);
+  svc.shutdown();
+}
+
+TEST(BatchServiceFusion, WaitingMembersStayQueuedUntilTheyStart) {
+  // One worker runs a K-full batch member by member. Member 1 joins a
+  // memo fill that this test holds open, so members 2-4 wait behind it.
+  // A waiting member is still queued: cancel() fails it at once, a
+  // deadline that passes while it waits counts in expired_in_queue, and
+  // its wait shows in queue_ms.
+  std::vector<ServiceRequest> reqs =
+      compatible_requests(4, GnnModelKind::kGcn, 41, "WQ");
+  const InferenceReport first = solo_report(reqs[0]);
+  const std::uint64_t second = solo_fingerprint(reqs[1]);
+  reqs[2].deadline_ms = 50;
+
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.result_cache_capacity = 8;
+  opts.batch_window_us = 3'000'000;
+  opts.max_batch_size = 4;
+  InferenceService svc(opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool filling = false, release = false;
+  std::thread holder([&] {
+    const ServiceRequest& r = reqs[0];
+    (void)svc.result_cache().get_or_run(
+        make_result_key(make_compile_key(*r.model, *r.dataset, r.options.config),
+                        r.options.runtime),
+        [&] {
+          std::unique_lock<std::mutex> lk(mu);
+          filling = true;
+          cv.notify_all();
+          cv.wait(lk, [&] { return release; });
+          return first;
+        });
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return filling; });
+  }
+
+  std::vector<RequestId> ids;
+  for (const ServiceRequest& r : reqs) ids.push_back(svc.submit(r));
+  while (svc.state(ids[0]) != RequestState::kRunning)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(svc.state(ids[3]), RequestState::kQueued);
+  EXPECT_TRUE(svc.cancel(ids[3]));
+  EXPECT_TRUE(svc.done(ids[3])) << "a waiting member must fail at once";
+  // Member 3's 50 ms deadline passes while member 1 is held.
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  holder.join();
+
+  RequestTiming timing;
+  EXPECT_EQ(svc.wait(ids[0]).deterministic_fingerprint(),
+            first.deterministic_fingerprint());
+  EXPECT_EQ(svc.wait(ids[1], &timing).deterministic_fingerprint(), second);
+  EXPECT_GE(timing.queue_ms, 80.0) << "the wait behind member 1 is queue time";
+  EXPECT_THROW((void)svc.wait(ids[2]), DeadlineExceededError);
+  EXPECT_THROW((void)svc.wait(ids[3]), CancelledError);
+  const RobustnessStats rs = svc.robustness_stats();
+  EXPECT_EQ(rs.expired_in_queue, 1);
+  EXPECT_EQ(rs.expired_running, 0);
+  EXPECT_EQ(rs.cancelled, 1);
+  const BatchStats bs = svc.batch_stats();
+  EXPECT_EQ(bs.batches_formed, 1);
+  EXPECT_EQ(bs.batched_requests, 2);  // only the members that started
+  EXPECT_EQ(bs.fused_requests, 2);
+  testing::expect_counters_add_up(svc, 2);
   svc.shutdown();
 }
 

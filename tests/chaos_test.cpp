@@ -11,7 +11,9 @@
 //     disk_errors, instead of failing requests;
 //   - determinism under chaos: a request that completes returns a report
 //     bit-identical to a fault-free run (references computed under
-//     FaultPauseScope), and a chaos run reproduces from its seed.
+//     FaultPauseScope), and a chaos run reproduces from its seed;
+//   - counters that add up: each service-level case ends, faults still
+//     armed, with the identities of tests/service_counters.hpp.
 //
 // The injector is process-global (DYNASPARSE_FAULT_SPEC / the service's
 // fault_spec option both arm it), so every test disarms on exit.
@@ -32,6 +34,7 @@
 #include "net/server.hpp"
 #include "service/inference_service.hpp"
 #include "service/request_stream.hpp"
+#include "service_counters.hpp"
 #include "util/fault_injection.hpp"
 
 namespace dynasparse {
@@ -123,6 +126,7 @@ TEST(ChaosTest, PlanStoreDiskFaultsDegradeWithoutFailingRequests) {
   FaultSiteStats w =
       FaultInjector::global().site_stats(kFaultPlanStoreDiskWrite);
   EXPECT_GT(w.injected, 0);
+  testing::expect_counters_add_up(service, static_cast<std::int64_t>(ids.size()));
 }
 
 TEST(ChaosTest, CompileAllocFaultIsTypedAndCountBounded) {
@@ -150,6 +154,7 @@ TEST(ChaosTest, CompileAllocFaultIsTypedAndCountBounded) {
   // The failed compiles were not cached as poison: the success above
   // re-ran the factory (erase-before-publish in keyed_future_cache).
   EXPECT_EQ(service.cache_stats().misses, 3);
+  testing::expect_counters_add_up(service, 1);
 }
 
 TEST(ChaosTest, KernelFaultsAreIsolatedPerRequest) {
@@ -197,6 +202,7 @@ TEST(ChaosTest, KernelFaultsAreIsolatedPerRequest) {
   // Both outcomes occur under this seed (deterministic draw sequence).
   EXPECT_GT(failed, 0);
   EXPECT_GT(completed, 0);
+  testing::expect_counters_add_up(service, completed);
 }
 
 /// Batch-compatible roster for the batching chaos scenarios: one
@@ -265,6 +271,7 @@ TEST(ChaosTest, KernelFaultsInsideFusedBatchesStayMemberIsolated) {
   // Batching must actually have been in play for the isolation claim to
   // mean anything.
   EXPECT_GT(service.batch_stats().fused_requests, 0);
+  testing::expect_counters_add_up(service, completed);
   service.shutdown();
 }
 
@@ -296,6 +303,8 @@ TEST(ChaosTest, BatchedChaosRunReproducesFromItsSeed) {
       }
     }
     EXPECT_EQ(service.batch_stats().fused_requests, 8);
+    testing::expect_counters_add_up(service,
+                                    std::count(ok.begin(), ok.end(), true));
     service.shutdown();
     return ok;
   };
@@ -392,6 +401,7 @@ TEST(ChaosTest, EverySiteArmedMixedStreamKeepsTheContract) {
     ASSERT_NO_THROW(rep = service.wait(service.submit(fresh)));
     EXPECT_EQ(rep.deterministic_fingerprint(), fp);
   }
+  testing::expect_counters_add_up(service, completed + 1);  // + the fresh one
 }
 
 TEST(ChaosTest, NetFaultsKillConnectionsNotTheContract) {
@@ -531,6 +541,8 @@ TEST(ChaosTest, ChaosRunReproducesFromItsSeed) {
         ok.push_back(false);
       }
     }
+    testing::expect_counters_add_up(service,
+                                    std::count(ok.begin(), ok.end(), true));
     return ok;
   };
   std::vector<bool> first = run_once(0);

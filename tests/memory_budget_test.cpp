@@ -7,9 +7,10 @@
 //   - convergence: rebalance terminates without progress (pinned tiers)
 //     instead of spinning;
 //   - cache byte edges: zero-byte entries, a lone value heavier than the
-//     hard cap admitted-then-dropped without collateral evictions (the
-//     contract keyed_future_cache.hpp pins to this file), in-flight
-//     fills racing shrink/clear under a shared tier;
+//     budget limit admitted-then-dropped without collateral evictions
+//     (the contract keyed_future_cache.hpp pins to this file), in-flight
+//     fills racing shrink/clear under a shared tier, a cache wiring its
+//     own shrinker to its tier and unwiring it when destroyed;
 //   - the service-level invariant: after a randomized multi-dataset soak
 //     quiesces, the sum over every tier (plans + compile + pool +
 //     results) is at most ServiceOptions::memory_budget_bytes.
@@ -152,7 +153,7 @@ TEST(MemoryBudgetTest, RebalanceTerminatesWithoutProgress) {
 TEST(BudgetCacheTest, ZeroByteEntriesAreCountBounded) {
   MemoryBudget budget(1000);
   auto tier = budget.register_tier("cache", 1.0);
-  BlobCache cache(2, 0, weigh_blob, tier);
+  BlobCache cache(2, weigh_blob, tier);
   for (int k = 0; k < 3; ++k) (void)cache.get_or_make(k, make_blob(0));
   KeyedCacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 2);  // the count bound still evicts
@@ -162,9 +163,13 @@ TEST(BudgetCacheTest, ZeroByteEntriesAreCountBounded) {
 }
 
 TEST(BudgetCacheTest, OversizeValueAdmittedThenDroppedWithoutCollateral) {
-  BlobCache cache(8, 100, weigh_blob);
+  // The budget's limit is the only byte bound, so it bounds a single
+  // value too.
+  MemoryBudget budget(100);
+  auto tier = budget.register_tier("cache", 1.0);
+  BlobCache cache(8, weigh_blob, tier);
   auto small = cache.get_or_make(1, make_blob(10));
-  auto huge = cache.get_or_make(2, make_blob(150));  // > max_bytes alone
+  auto huge = cache.get_or_make(2, make_blob(150));  // > the limit alone
   ASSERT_TRUE(huge);
   EXPECT_EQ(huge->size, 150u);  // the caller still gets its value
 
@@ -172,31 +177,40 @@ TEST(BudgetCacheTest, OversizeValueAdmittedThenDroppedWithoutCollateral) {
   EXPECT_EQ(s.entries, 1);   // the oversize value never became resident
   EXPECT_EQ(s.evictions, 1); // dropped by its own insertion...
   EXPECT_EQ(s.bytes, 10);
+  EXPECT_EQ(tier->bytes(), 10);  // ...never charged: transient, not resident
   EXPECT_TRUE(cache.peek(1));   // ...with no collateral: the small
   EXPECT_FALSE(cache.peek(2));  // entry was not flushed to make room
+  // A value under the limit is resident and charged normally.
+  (void)cache.get_or_make(3, make_blob(60));
+  EXPECT_EQ(cache.stats().entries, 2);
+  EXPECT_EQ(tier->bytes(), 70);
 }
 
-TEST(BudgetCacheTest, SharedBudgetLimitIsTheHardCapWithoutPrivateBytes) {
-  // max_bytes 0 + a tier: the budget's limit bounds a single value.
+TEST(BudgetCacheTest, CacheWiresItsOwnShrinkerAndUnwiresItOnDestruction) {
   MemoryBudget budget(100);
   auto tier = budget.register_tier("cache", 1.0);
-  BlobCache cache(8, 0, weigh_blob, tier);
-  auto huge = cache.get_or_make(1, make_blob(150));
-  ASSERT_TRUE(huge);
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(tier->bytes(), 0);  // never charged: transient, not resident
-  // A value under the limit is resident and charged normally.
-  (void)cache.get_or_make(2, make_blob(60));
-  EXPECT_EQ(cache.stats().entries, 1);
-  EXPECT_EQ(tier->bytes(), 60);
+  {
+    BlobCache cache(8, weigh_blob, tier);
+    (void)cache.get_or_make(1, make_blob(60));
+    (void)cache.get_or_make(2, make_blob(60));  // 120 > 100: rebalance
+    KeyedCacheStats s = cache.stats();
+    EXPECT_EQ(s.entries, 1);  // the budget's shrink evicted the LRU entry
+    EXPECT_EQ(s.evictions, 1);
+    EXPECT_FALSE(cache.peek(1));
+    EXPECT_EQ(tier->bytes(), 60);
+    EXPECT_EQ(budget.stats().tiers[0].shrinks, 1);
+  }
+  // The destroyed cache's hook is gone: an over-limit rebalance finds no
+  // shrinker to run on the tier.
+  EXPECT_TRUE(tier->charge(200));
+  budget.rebalance();
+  EXPECT_EQ(budget.stats().tiers[0].shrinks, 1);
 }
 
 TEST(BudgetCacheTest, InFlightFillsRaceShrinkAndClearSafely) {
   MemoryBudget budget(4096);
   auto tier = budget.register_tier("cache", 1.0);
-  auto cache = std::make_shared<BlobCache>(16, 0, weigh_blob, tier);
-  budget.bind_shrinker("cache",
-                       [cache](std::size_t t) { cache->shrink_to_bytes(t); });
+  auto cache = std::make_shared<BlobCache>(16, weigh_blob, tier);
 
   std::atomic<bool> stop{false};
   std::thread antagonist([&] {

@@ -21,7 +21,13 @@ namespace dynasparse::testing {
 ///    exactly its cache's own bytes (the plan tier only while the plan
 ///    store is on);
 ///  - request conservation: every accepted request completed, was shed,
-///    or failed with one of the counted typed errors.
+///    or failed with one of the counted typed errors;
+///  - memoization: with the result cache on and every accepted request
+///    completed, each one claimed the cache once, as a hit or a miss.
+///    (An aborted request may have claimed it, and the joiners of an
+///    aborted fill retry and claim it again, so runs with aborts are
+///    not checked.) `completed` must count only submitted requests:
+///    run_one() calls claim the cache too.
 inline void expect_counters_add_up(const InferenceService& svc,
                                    std::int64_t completed) {
   const Metrics metrics = svc.metrics();
@@ -56,6 +62,11 @@ inline void expect_counters_add_up(const InferenceService& svc,
                 get("expired_in_queue") + get("expired_running") +
                 get("execution_failures"))
       << "accepted requests must complete, be shed, or fail typed";
+
+  if (svc.options().result_cache_capacity > 0 &&
+      get("admission_accepted") == completed)
+    EXPECT_EQ(get("result_cache_hits") + get("result_cache_misses"), completed)
+        << "each completed request must claim the result cache once";
 }
 
 }  // namespace dynasparse::testing

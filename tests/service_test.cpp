@@ -3,8 +3,8 @@
 // eviction that never drops a held program), failure isolation,
 // race-freedom under concurrent submitters, result memoization
 // (ResultKey sensitivity, hits that skip execution, LRU by count and by
-// bytes), and bounded admission control (reject fail-fast, try_submit,
-// shed-oldest). The concurrency tests
+// the memory budget's bytes), the default budget limit, and bounded
+// admission control (reject fail-fast, try_submit, shed-oldest). The concurrency tests
 // force >1 worker regardless of the host's core count and are part of
 // the CI ThreadSanitizer job; the randomized interleaving soak lives in
 // tests/service_stress_test.cpp.
@@ -17,6 +17,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 #include "core/engine.hpp"
 #include "service/inference_service.hpp"
@@ -179,7 +180,9 @@ TEST(ServiceTest, CompileCacheNeverEvictsAHeldProgram) {
   const ServiceRequest c = make_request(63, GnnModelKind::kGcn);
   CompilationCache cache(1);
   auto get = [&](const ServiceRequest& r) {
-    return cache.get_or_compile(*r.model, *r.dataset, r.options.config);
+    return cache.get_or_compile(
+        make_compile_key(*r.model, *r.dataset, r.options.config), *r.model,
+        *r.dataset, r.options.config);
   };
   auto held = get(a);
   (void)get(b);
@@ -432,11 +435,35 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   testing::expect_counters_add_up(service, 3);
 }
 
+TEST(ServiceTest, DefaultBudgetIsTheSumOfTheTierWeights) {
+  // memory_budget_bytes = 0 resolves to the tier weights' sum: 512 MiB
+  // each for the tile pool and compiled programs, 256 MiB for reports,
+  // and 32 MiB for plans while the plan store is on. options() and the
+  // budget_limit counter report the effective limit; an explicit value
+  // is kept as given.
+  auto limit_of = [](const ServiceOptions& o) {
+    InferenceService svc(o);
+    const std::size_t limit = svc.options().memory_budget_bytes;
+    EXPECT_EQ(svc.memory_budget_stats().limit_bytes, limit);
+    const Metrics metrics = svc.metrics();
+    for (const Metrics::Metric& m : metrics.list())
+      if (m.name == "budget_limit")
+        EXPECT_EQ(std::get<std::int64_t>(m.value), static_cast<std::int64_t>(limit));
+    return limit;
+  };
+  ServiceOptions opts;
+  EXPECT_EQ(limit_of(opts), std::size_t{1280} << 20);
+  opts.plan_store_capacity = 4;
+  EXPECT_EQ(limit_of(opts), std::size_t{1312} << 20);
+  opts.memory_budget_bytes = 12345;
+  EXPECT_EQ(limit_of(opts), 12345u);
+}
+
 TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
   // Count bound: capacity 2, three distinct contents -> one eviction, the
   // LRU entry re-misses.
   {
-    ResultCache cache(2, 0);
+    ResultCache cache(2);
     auto run = [&](std::uint64_t key_seed) {
       ResultKey key{{key_seed, 1, 1}, 7};
       return cache.get_or_run(key, [] {
@@ -456,12 +483,14 @@ TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
     EXPECT_EQ(cache.stats().hits, 1);
   }
   // Byte bound: entries far under the count bound still evict once the
-  // approximate resident bytes exceed the cap.
+  // approximate resident bytes exceed the memory budget the cache's tier
+  // belongs to.
   {
     InferenceReport sample;
     sample.model_name = "r";
     const std::size_t one = sample.approx_footprint_bytes();
-    ResultCache cache(100, 2 * one + one / 2);  // room for ~2.5 reports
+    MemoryBudget budget(2 * one + one / 2);  // room for ~2.5 reports
+    ResultCache cache(100, budget.register_tier("result", 1.0));
     for (std::uint64_t k = 1; k <= 4; ++k)
       cache.get_or_run(ResultKey{{k, 1, 1}, 7}, [&] { return sample; });
     ResultCacheStats s = cache.stats();
@@ -470,15 +499,16 @@ TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
     EXPECT_EQ(s.entries, 2);
     EXPECT_LE(s.bytes, static_cast<std::int64_t>(2 * one + one / 2));
   }
-  // A lone report heavier than the byte bound is dropped by its own
+  // A lone report heavier than the whole budget is dropped by its own
   // insertion without flushing resident entries as collateral.
   {
     InferenceReport small;
     small.model_name = "r";
     const std::size_t one = small.approx_footprint_bytes();
     InferenceReport huge = small;
-    huge.model_name.assign(4 * one, 'x');  // footprint >> byte bound
-    ResultCache cache(100, 2 * one);
+    huge.model_name.assign(4 * one, 'x');  // footprint >> the budget
+    MemoryBudget budget(2 * one);
+    ResultCache cache(100, budget.register_tier("result", 1.0));
     cache.get_or_run(ResultKey{{1, 1, 1}, 7}, [&] { return small; });
     cache.get_or_run(ResultKey{{2, 1, 1}, 7}, [&] { return huge; });
     ResultCacheStats s = cache.stats();

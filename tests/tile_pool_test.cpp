@@ -175,9 +175,7 @@ TEST(TilePoolTest, HeldOperandHeavierThanTheBudgetStaysResident) {
   // keeps it resident and charged even over a 1-byte budget.
   MemoryBudget budget(1);
   auto tier = budget.register_tier("tile_pool", 1.0);
-  TilePool pool(16, tier);
-  budget.bind_shrinker("tile_pool",
-                       [&pool](std::size_t t) { pool.shrink_to_bytes(t); });
+  TilePool pool(16, tier);  // wires its own shrinker to the tier
   TilePool::Key key{7, 7, 7};
   auto held = pool.get_or_build(key, [] { return tiny_partitioned(); });
   ASSERT_TRUE(held);

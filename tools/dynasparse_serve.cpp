@@ -32,12 +32,12 @@
 //   --memoize N       result-cache capacity in reports (default 0 = off):
 //                     repeat requests return the memoized report without
 //                     executing — bit-identical deterministic fields
-//   --memoize-mb M    approximate byte bound for memoized reports
-//                     (default 256 MiB; only meaningful with --memoize)
 //   --mem-budget SIZE process-wide memory budget across every cache tier
-//                     (plans + compiled programs + tile pool + reports).
-//                     Accepts "512m" / "2g" style suffixes; bare numbers
-//                     are bytes. Default 0 = per-tier ceilings only.
+//                     (plans + compiled programs + tile pool + reports),
+//                     the only byte bound on them. Accepts "512m" / "2g"
+//                     style suffixes; bare numbers are bytes. Default 0 =
+//                     the sum of the tier weights (1280 MiB, 1312 MiB
+//                     with --plan-store)
 //   --tile-pool N     shared operand tile-pool capacity in entries
 //                     (default 64; 0 = each program holds private tiles)
 //   --max-queue N     bound the request queue to N queued requests
@@ -95,7 +95,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -155,7 +154,7 @@ void report(const Metrics& m, const std::string& path) {
 int main(int argc, char** argv) {
   std::string stream_path, json_path, plan_store_dir, fault_spec;
   int requests = 16, workers = 0, intra_op = 0;
-  std::size_t cache_capacity = 16, memoize = 0, memoize_mb = 256, max_queue = 0;
+  std::size_t cache_capacity = 16, memoize = 0, max_queue = 0;
   std::size_t plan_store = 0;
   std::size_t mem_budget = 0, tile_pool = 64;
   bool plan_store_given = false;
@@ -193,7 +192,6 @@ int main(int argc, char** argv) {
       else if (key == "--intra-op") intra_op = strict_stoi(need_value());
       else if (key == "--cache") cache_capacity = size_value(need_value());
       else if (key == "--memoize") memoize = size_value(need_value());
-      else if (key == "--memoize-mb") memoize_mb = size_value(need_value());
       else if (key == "--mem-budget") mem_budget = parse_size_bytes(need_value());
       else if (key == "--tile-pool") tile_pool = size_value(need_value());
       else if (key == "--max-queue") max_queue = size_value(need_value());
@@ -222,15 +220,12 @@ int main(int argc, char** argv) {
     usage("bad value for " + current_key + ": " + e.what());
   }
   if (!plan_store_dir.empty() && !plan_store_given) plan_store = 32;
-  if (memoize_mb > (std::numeric_limits<std::size_t>::max() >> 20))
-    usage("--memoize-mb too large");  // << 20 below would overflow
 
   ServiceOptions opts;
   opts.workers = workers;
   opts.cache_capacity = cache_capacity;
   opts.intra_op_threads = intra_op;
   opts.result_cache_capacity = memoize;
-  opts.result_cache_bytes = memoize_mb << 20;
   opts.max_queue_depth = max_queue;
   opts.admission = admission;
   opts.plan_store_capacity = plan_store;
@@ -301,7 +296,9 @@ int main(int argc, char** argv) {
 
   if (warm) {
     for (const ServiceRequest& req : pool)
-      service.cache().get_or_compile(*req.model, *req.dataset, req.options.config);
+      service.cache().get_or_compile(
+          make_compile_key(*req.model, *req.dataset, req.options.config),
+          *req.model, *req.dataset, req.options.config);
     std::printf("warmed cache: %lld programs compiled\n",
                 static_cast<long long>(service.cache_stats().entries));
   }
