@@ -217,8 +217,7 @@ std::uint64_t runtime_options_signature(const RuntimeOptions& rt) {
       .i64(rt.hide_runtime ? 1 : 0)
       .i64(rt.host_threads)
       .i64(rt.detailed_timing ? 1 : 0)
-      .i64(rt.collect_timeline ? 1 : 0)
-      .i64(rt.functional ? 1 : 0);
+      .i64(rt.collect_timeline ? 1 : 0);
   return h.digest();
 }
 

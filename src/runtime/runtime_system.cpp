@@ -227,11 +227,7 @@ void price_and_schedule(const CompiledProgram& prog, const RuntimeOptions& opt,
           pairs.push_back(w);
         }
         const Tile& out_tile = out.tile(t.out_gi, t.out_gk);
-        std::size_t wb_bytes = opt.functional
-                                   ? out_tile.ddr_bytes(cfg)
-                                   : static_cast<std::size_t>(out_tile.rows) *
-                                         static_cast<std::size_t>(out_tile.cols) *
-                                         cfg.dense_elem_bytes;
+        std::size_t wb_bytes = out_tile.ddr_bytes(cfg);
         int active_cores = static_cast<int>(
             std::min<std::int64_t>(cfg.num_cores,
                                    static_cast<std::int64_t>(tasks.size())));
@@ -361,7 +357,7 @@ ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
       throw FaultInjectedError("injected kernel fault (node " +
                                std::to_string(prog.kernels[l].node_id) + ")");
     KernelPass kp = begin_kernel(prog, l, node_outputs);
-    if (opt.functional) run_functional(kp, node_outputs, thr, opt.host_threads);
+    run_functional(kp, node_outputs, thr, opt.host_threads);
     price_and_schedule(prog, opt, kp, core, soft, result);
     node_outputs[static_cast<std::size_t>(kp.ir->node_id)] = std::move(kp.out);
   }

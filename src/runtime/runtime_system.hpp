@@ -62,11 +62,6 @@ struct RuntimeOptions {
   /// Record per-task schedule timelines (ExecutionResult::timeline) for
   /// Chrome-tracing export (io/trace_io.hpp).
   bool collect_timeline = false;
-  /// Skip the functional math and only produce timing. Valid because
-  /// timing consumes densities, not values; the density of each kernel
-  /// *output* is then unavailable, so this is only allowed for programs
-  /// whose mapping never needs runtime densities (not used by default).
-  bool functional = true;
 };
 
 struct KernelExecutionReport {

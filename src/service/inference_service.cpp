@@ -19,14 +19,11 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Each cache tier's weight in the memory budget: its fair share of the
-/// limit when tiers compete, and, summed over the registered tiers, the
-/// limit that memory_budget_bytes = 0 resolves to. Plans are small
-/// (kilobytes against the caches' megabytes), so theirs is too.
-constexpr std::size_t kTilePoolWeight = std::size_t{512} << 20;
-constexpr std::size_t kPlanWeight = std::size_t{32} << 20;
-constexpr std::size_t kCompileWeight = std::size_t{512} << 20;
-constexpr std::size_t kResultWeight = std::size_t{256} << 20;
+/// The limit memory_budget_bytes = 0 resolves to: 1280 MiB, plus 32 MiB
+/// when a plan store runs (plans are kilobytes against the caches'
+/// megabytes).
+constexpr std::size_t kDefaultBudget = std::size_t{1280} << 20;
+constexpr std::size_t kPlanStoreBudget = std::size_t{32} << 20;
 
 /// The PlanStore for `opts`, or null when plan reuse is disabled.
 std::shared_ptr<PlanStore> make_plan_store(const ServiceOptions& opts,
@@ -35,7 +32,7 @@ std::shared_ptr<PlanStore> make_plan_store(const ServiceOptions& opts,
   PlanStoreOptions po;
   po.capacity = opts.plan_store_capacity;
   po.dir = opts.plan_store_dir;
-  po.tier = budget.register_tier("plans", static_cast<double>(kPlanWeight));
+  po.tier = budget.register_tier("plans");
   return std::make_shared<PlanStore>(std::move(po));
 }
 
@@ -55,8 +52,8 @@ ServiceOptions validate_and_resolve(ServiceOptions o) {
   if (o.workers == 0) o.workers = std::min(parallel_hardware_threads(), 16);
   o.workers = std::max(o.workers, 1);
   if (o.memory_budget_bytes == 0)
-    o.memory_budget_bytes = kTilePoolWeight + kCompileWeight + kResultWeight +
-                            (o.plan_store_capacity > 0 ? kPlanWeight : 0);
+    o.memory_budget_bytes =
+        kDefaultBudget + (o.plan_store_capacity > 0 ? kPlanStoreBudget : 0);
   return o;
 }
 
@@ -126,15 +123,13 @@ InferenceService::InferenceService(ServiceOptions options)
       // Tier registration order (pool, plans, compile, result) is the
       // reverse of shrink order — see the member-declaration comment.
       // Each cache wires its own shrinker to the tier it is given.
-      tile_pool_(std::make_shared<TilePool>(
-          options_.tile_pool_capacity,
-          budget_->register_tier("tile_pool", static_cast<double>(kTilePoolWeight)))),
+      tile_pool_(std::make_shared<TilePool>(options_.tile_pool_capacity,
+                                            budget_->register_tier("tile_pool"))),
       plan_store_(make_plan_store(options_, *budget_)),
       cache_(options_.cache_capacity, plan_store_,
-             budget_->register_tier("compile", static_cast<double>(kCompileWeight)),
-             tile_pool_),
+             budget_->register_tier("compile"), tile_pool_),
       result_cache_(options_.result_cache_capacity,
-                    budget_->register_tier("result", static_cast<double>(kResultWeight))),
+                    budget_->register_tier("result")),
       queue_(options_.max_queue_depth),
       batcher_(queue_, BatchPolicy{options_.batch_window_us, options_.max_batch_size},
                [](const Job& job) {
@@ -290,6 +285,10 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
     } catch (...) {
       error = std::current_exception();
     }
+    // The request has let go of its program and report, so entries the
+    // last charge found held can go now: settle the budget before the
+    // outcome is published (one lock and one compare when under it).
+    budget_->rebalance();
     publish_result(job.id, std::move(report), std::move(error), token);
   }
 }
@@ -755,7 +754,9 @@ std::vector<InferenceReport> InferenceService::run_batch(
 
 InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& ds,
                                           const EngineOptions& options) {
-  return run_request(model, ds, options, {});
+  InferenceReport report = run_request(model, ds, options, {});
+  budget_->rebalance();  // as process_batch does after each member
+  return report;
 }
 
 InferenceService& InferenceService::process_default() {

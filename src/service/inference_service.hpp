@@ -247,16 +247,15 @@ struct ServiceOptions {
   std::size_t cache_capacity = 16;
   /// ONE process-wide byte budget spanning every reuse tier — tile pool,
   /// plan store, compilation cache, result cache (util/memory_budget.hpp)
-  /// — and the only byte bound on them. Each tier has a fixed weight, its
-  /// fair share of the limit: 512 MiB for the tile pool and for compiled
-  /// programs, 256 MiB for reports, 32 MiB for plans. A tier may hold
-  /// more than its share while the others are under theirs; crossing the
-  /// limit triggers weighted cross-tier eviction. 0 (default) resolves to
-  /// the sum of the registered tiers' weights — 1280 MiB, or 1312 MiB
-  /// with a plan store — and options().memory_budget_bytes reports the
-  /// effective limit. The aim is "quiesced total <= limit": a charge may
-  /// overshoot until the rebalance it requests runs, and entries that
-  /// are still held stay resident (README, "Memory model").
+  /// — and the only byte bound on them. No tier has a share of its own:
+  /// crossing the limit evicts the overage from the result, compile and
+  /// plan caches first and from the tile pool last, so the programs that
+  /// pin pool operands go before the pool is asked to free them. 0
+  /// (default) resolves to 1280 MiB, or 1312 MiB with a plan store, and
+  /// options().memory_budget_bytes reports the effective limit. The aim
+  /// is "quiesced total <= limit": a charge may overshoot while requests
+  /// still hold the entries it would evict, and every request settles
+  /// the budget once it has let go of them (README, "Memory model").
   std::size_t memory_budget_bytes = 0;
   /// TilePool capacity in pooled operands (src/matrix/tile_pool.hpp):
   /// programs compiled from the same dataset under the same partition
@@ -397,7 +396,8 @@ class InferenceService {
   std::vector<InferenceReport> run_batch(std::vector<ServiceRequest> requests);
 
   /// Execute one request synchronously on the calling thread through the
-  /// shared cache + execution path (no queue, no workers).
+  /// shared cache + execution path (no queue, no workers), then settle
+  /// the memory budget as a worker does after each request.
   InferenceReport run_one(const GnnModel& model, const Dataset& ds,
                           const EngineOptions& options = {});
 
@@ -467,7 +467,8 @@ class InferenceService {
   void worker_main();
   /// Process one BatchScheduler release member by member: each member's
   /// stale/expired recheck and kRunning mark happen under slots_mu_ right
-  /// before its run_request, then it is published.
+  /// before its run_request; then the budget is settled and the member
+  /// is published.
   void process_batch(std::vector<Job>& jobs);
   /// The service's one execution path, for a queued member and run_one
   /// alike: token check, key hashing, result-cache claim, compile,
@@ -504,7 +505,7 @@ class InferenceService {
   // Declaration order is load-bearing twice over: the budget must outlive
   // every tier handle (so it is first), and tiers register with it in
   // member-init order — pool, plans, compile, result — which is the order
-  // rebalance() shrinks in REVERSE, so the program/report caches drop
+  // rebalance() walks in REVERSE, so the program/report caches drop
   // their pool-operand references before the pool is asked to free them.
   std::shared_ptr<MemoryBudget> budget_;
   std::shared_ptr<TilePool> tile_pool_;

@@ -22,8 +22,9 @@
 //     a budget tier, every ready entry's bytes are charged to the tier
 //     (credited on evict/clear), and the budget's limit is the cache's
 //     only byte bound. The cache installs its own shrink_to_bytes as the
-//     tier's shrinker when it is constructed and clears it when it is
-//     destroyed (one cache per tier). A charge that pushes the budget
+//     tier's shrinker when it is constructed; when it is destroyed it
+//     clears it and credits every byte it still charges, held entries
+//     included (one cache per tier). A charge that pushes the budget
 //     over its limit triggers a cross-tier rebalance AFTER this cache's
 //     lock is released (lock order is always cache -> budget), and the
 //     budget drives evictions back through shrink_to_bytes();
@@ -119,8 +120,9 @@ class KeyedFutureCache {
 
   /// `weigh` empty = no byte accounting. `tier` (optional) charges the
   /// weighed bytes to a shared MemoryBudget, whose limit bounds them; the
-  /// cache wires its shrink_to_bytes to the tier here and unwires it in
-  /// its destructor (see the lifetime rule in the file comment).
+  /// cache wires its shrink_to_bytes to the tier here, and its destructor
+  /// unwires it and credits the tier what the cache still charges (see
+  /// the lifetime rule in the file comment).
   /// `rank` places this cache's mutex in the global lock hierarchy
   /// (util/ordered_mutex.hpp): each wrapper passes its own rank
   /// (kResultCache / kCompileCache / kPlanStore / kTilePool), all of
@@ -136,7 +138,10 @@ class KeyedFutureCache {
   }
 
   ~KeyedFutureCache() {
-    if (tier_) tier_->set_shrinker({});
+    if (!tier_) return;
+    tier_->set_shrinker({});
+    // Held entries too: once the cache is gone nothing else credits them.
+    tier_->credit(static_cast<std::size_t>(stats_.bytes));
   }
 
   KeyedFutureCache(const KeyedFutureCache&) = delete;

@@ -2,42 +2,41 @@
 // MemoryBudget — one process-wide byte arbiter spanning every cache tier.
 //
 // Every reuse tier (the TilePool, PlanStore, CompilationCache and
-// ResultCache) registers once with a name and a weight and charges or
-// credits the bytes it holds as entries become ready or are evicted. The
-// budget's ONE limit is the only byte bound on those tiers. When the sum
-// exceeds the limit, rebalance() computes weighted per-tier targets — a
-// waterfill over the tier weights: tiers under their fair share keep what
-// they have, and the remaining capacity is split among the over-share
-// tiers in proportion to their weights — and invokes each over-target
-// tier's shrinker (the cache-side eviction hook, which a KeyedFutureCache
-// built with the tier installs itself). limit_bytes 0 = track-only, for
-// standalone use: charges and high-water stats are recorded but nothing
-// ever shrinks.
+// ResultCache) registers once by name and charges or credits the bytes
+// it holds as entries become ready or are evicted. The budget's ONE
+// limit is the only byte bound on those tiers. When the sum exceeds the
+// limit, rebalance() makes one ordered pass over the tiers, from the
+// last registered to the first, and asks each tier's shrinker (the
+// cache-side eviction hook, which a KeyedFutureCache built with the tier
+// installs itself) to give up the current overage: its target is
+// max(0, tier bytes - overage), with the overage recomputed before each
+// tier. The pass stops as soon as the total is within the limit, so a
+// tier is asked for bytes only when the tiers after it could not free
+// enough. limit_bytes 0 = track-only, for standalone use: charges and
+// high-water stats are recorded but nothing ever shrinks.
 //
 // Locking contract (what lets this arbiter sit underneath every cache
 // without ordering their mutexes against each other):
 //   - charge()/credit() are counter-only and take just the budget mutex,
 //     so a cache may call them while holding its own lock (lock order is
 //     always cache -> budget, never the reverse);
-//   - rebalance() snapshots targets under the budget mutex but holds NO
-//     lock while invoking shrinkers, so a shrinker may take its cache's
-//     lock — and credit the tier from inside it — freely;
-//   - shrinkers run in REVERSE registration order: a tier registered
-//     early (the TilePool, whose entries are pinned by live cached
-//     programs) shrinks after the later-registered caches whose entries
-//     hold those references have dropped them. rebalance() makes up to
-//     three passes while it is still over limit and the previous pass
-//     freed bytes, so references released by one pass are collected by
-//     the next.
+//   - rebalance() computes each target under the budget mutex but holds
+//     NO lock while invoking a shrinker, so a shrinker may take its
+//     cache's lock — and credit the tier from inside it — freely;
+//   - the pass runs in REVERSE registration order, so the holders shrink
+//     before the tiers they pin: the TilePool registers first, and the
+//     plan, program and report caches after it drop the cached programs
+//     that hold pool operands before the pool is asked to free them.
 // Callers trigger rebalance() only after releasing their own locks;
-// Tier::charge() returns whether that is needed. Concurrent rebalance
-// calls coalesce (a second caller returns immediately; the running pass
-// brings the pool under). Between a charge and the rebalance it requests
-// the sum may transiently exceed the limit — the budget aims at
-// "quiesced total <= limit", not an allocation gate. Held entries can
-// keep it above: shrinkers skip them, and a tier whose entries hold
-// another tier's (cached programs holding pool operands) is not shrunk
-// while it is under its own share, so the pinned tier stays over.
+// Tier::charge() returns whether that is needed. Concurrent passes are
+// safe without coordination: each computes a tier's target from the
+// same totals, so a second pass asks for nothing the first did not.
+// Between a charge and the rebalance it requests the sum may
+// transiently exceed the limit — the budget aims at "quiesced total <=
+// limit", not an allocation gate. Shrinkers skip entries a caller still
+// holds, so a total charged while requests hold entries settles only
+// when a later pass runs after they let go; InferenceService runs one
+// after every request.
 //
 // The budget must outlive every Tier handle use; in the service it is a
 // member declared before all tier-holding caches, so destruction order
@@ -56,7 +55,6 @@ namespace dynasparse {
 
 struct MemoryTierStats {
   std::string name;
-  double weight = 1.0;
   std::int64_t bytes = 0;       // currently charged
   std::int64_t high_water = 0;  // tier-local high-water
   std::int64_t shrinks = 0;     // shrinker invocations on this tier
@@ -66,7 +64,7 @@ struct MemoryBudgetStats {
   std::size_t limit_bytes = 0;  // 0 = track-only
   std::int64_t bytes = 0;       // sum across tiers
   std::int64_t high_water = 0;  // high-water of the sum
-  std::int64_t rebalances = 0;  // shrink passes actually run
+  std::int64_t rebalances = 0;  // passes that found the sum over the limit
   std::vector<MemoryTierStats> tiers;
 };
 
@@ -94,11 +92,10 @@ class MemoryBudget {
 
    private:
     friend class MemoryBudget;
-    Tier(MemoryBudget* owner, std::string name, double weight)
-        : owner_(owner), name_(std::move(name)), weight_(weight) {}
+    Tier(MemoryBudget* owner, std::string name)
+        : owner_(owner), name_(std::move(name)) {}
     MemoryBudget* owner_;
     const std::string name_;
-    const double weight_;
     // All below guarded by owner_->mu_.
     std::int64_t bytes_ = 0;
     std::int64_t high_water_ = 0;
@@ -109,20 +106,13 @@ class MemoryBudget {
   /// limit_bytes 0 = track-only (never shrinks anything).
   explicit MemoryBudget(std::size_t limit_bytes = 0) : limit_(limit_bytes) {}
 
-  /// Drops every tier's shrinker. A shrinker that captures an owning
-  /// reference to its cache, while the cache holds the Tier handle,
-  /// would otherwise form a shared_ptr cycle that outlives everyone.
-  ~MemoryBudget();
+  /// Register a tier. Tiers registered later shrink first.
+  std::shared_ptr<Tier> register_tier(std::string name);
 
-  /// Register a tier. `weight` sets its fair share of the limit relative
-  /// to the other tiers; non-positive weights are clamped to 1.
-  std::shared_ptr<Tier> register_tier(std::string name, double weight);
-
-  /// Enforce the limit: while the charged sum exceeds it (and progress is
-  /// being made, up to three passes), compute waterfilled per-tier
-  /// targets and invoke over-target shrinkers in reverse registration
-  /// order. No lock is held across shrinker calls. No-op when limit is 0
-  /// or the sum is within it; concurrent calls coalesce.
+  /// Enforce the limit: while the charged sum exceeds it, walk the tiers
+  /// from last-registered to first and call each one's shrinker with
+  /// max(0, tier bytes - overage). No lock is held across shrinker
+  /// calls. No-op when the limit is 0 or the sum is within it.
   void rebalance();
 
   std::size_t limit_bytes() const { return limit_; }
@@ -130,16 +120,12 @@ class MemoryBudget {
   MemoryBudgetStats stats() const;
 
  private:
-  /// Weighted waterfill targets for the registered tiers; mu_ held.
-  std::vector<std::size_t> targets_locked() const;
-
   const std::size_t limit_;
   mutable OrderedMutex mu_{LockRank::kMemoryBudget};
   std::vector<std::shared_ptr<Tier>> tiers_;  // registration order
   std::int64_t total_ = 0;
   std::int64_t high_water_ = 0;
   std::int64_t rebalances_ = 0;
-  bool rebalancing_ = false;  // coalesces concurrent rebalance() calls
 };
 
 }  // namespace dynasparse

@@ -66,7 +66,6 @@ TEST_P(FuzzSweep, PipelineInvariantsHold) {
   // 3. Dynamic compute never exceeds either static strategy's (up to the
   // one-cycle mode switches).
   RuntimeOptions opt;
-  opt.functional = true;
   opt.strategy = MappingStrategy::kStatic1;
   double s1 = execute(prog, opt).stats.compute_cycles;
   opt.strategy = MappingStrategy::kStatic2;

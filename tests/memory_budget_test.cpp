@@ -1,19 +1,22 @@
 // MemoryBudget tests (util/memory_budget.hpp) plus the byte-edge cases
 // of KeyedFutureCache's budget integration:
 //
-//   - waterfill: under-share tiers keep their bytes, slack re-splits by
-//     weight, and shrinkers run in REVERSE registration order;
+//   - the ordered pass: only the overage is evicted, and shrinkers run
+//     in REVERSE registration order;
 //   - track-only (limit 0): charges recorded, nothing ever shrinks;
-//   - convergence: rebalance terminates without progress (pinned tiers)
-//     instead of spinning;
+//   - convergence: rebalance makes one pass over pinned tiers instead of
+//     spinning;
 //   - cache byte edges: zero-byte entries, a lone value heavier than the
 //     budget limit admitted-then-dropped without collateral evictions
 //     (the contract keyed_future_cache.hpp pins to this file), in-flight
 //     fills racing shrink/clear under a shared tier, a cache wiring its
-//     own shrinker to its tier and unwiring it when destroyed;
-//   - the service-level invariant: after a randomized multi-dataset soak
-//     quiesces, the sum over every tier (plans + compile + pool +
-//     results) is at most ServiceOptions::memory_budget_bytes.
+//     own shrinker to its tier and unwiring it when destroyed, and
+//     crediting its tier for every byte it held when destroyed;
+//   - the service-level invariant: once a randomized multi-dataset soak
+//     and the synthetic serve replay quiesce, the sum over every tier
+//     (plans + compile + pool + results) is at most
+//     ServiceOptions::memory_budget_bytes, with no rebalance call from
+//     outside the service.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,8 @@
 
 #include "core/engine.hpp"
 #include "service/inference_service.hpp"
+#include "service/request_stream.hpp"
+#include "service_counters.hpp"
 #include "util/keyed_future_cache.hpp"
 #include "util/memory_budget.hpp"
 
@@ -46,7 +51,7 @@ auto make_blob(std::size_t size) {
 
 TEST(MemoryBudgetTest, TrackOnlyRecordsWithoutShrinking) {
   MemoryBudget budget(0);  // limit 0 = track-only
-  auto tier = budget.register_tier("t", 1.0);
+  auto tier = budget.register_tier("t");
   bool shrunk = false;
   tier->set_shrinker([&](std::size_t) { shrunk = true; });
 
@@ -68,8 +73,8 @@ TEST(MemoryBudgetTest, TrackOnlyRecordsWithoutShrinking) {
 
 TEST(MemoryBudgetTest, ChargeSignalsWhenTheSumCrossesTheLimit) {
   MemoryBudget budget(100);
-  auto a = budget.register_tier("a", 1.0);
-  auto b = budget.register_tier("b", 1.0);
+  auto a = budget.register_tier("a");
+  auto b = budget.register_tier("b");
   EXPECT_FALSE(a->charge(50));  // 50 <= 100
   EXPECT_TRUE(b->charge(60));   // 110 > 100: caller should rebalance
   b->credit(60);
@@ -77,10 +82,10 @@ TEST(MemoryBudgetTest, ChargeSignalsWhenTheSumCrossesTheLimit) {
   EXPECT_FALSE(b->charge(50));  // exactly at the limit is within it
 }
 
-TEST(MemoryBudgetTest, WaterfillKeepsUnderShareTiersWhole) {
+TEST(MemoryBudgetTest, ShrinkEvictsOnlyTheOverage) {
   MemoryBudget budget(1000);
-  auto small = budget.register_tier("small", 1.0);
-  auto big = budget.register_tier("big", 1.0);
+  auto small = budget.register_tier("small");
+  auto big = budget.register_tier("big");
   std::vector<std::pair<std::string, std::size_t>> calls;
   small->set_shrinker([&](std::size_t target) {
     calls.emplace_back("small", target);
@@ -91,12 +96,13 @@ TEST(MemoryBudgetTest, WaterfillKeepsUnderShareTiersWhole) {
     big->credit(static_cast<std::size_t>(big->bytes()) - target);
   });
 
-  small->charge(100);       // well under its 500-byte fair share
-  big->charge(2000);        // the whole overage is big's
+  small->charge(100);
+  big->charge(2000);        // 1100 bytes over the limit
   budget.rebalance();
 
-  // small keeps its 100 bytes untouched; big is asked to fit in the
-  // rest of the limit, not in a blind limit/2 split.
+  // big, registered last, is asked for the 1100-byte overage and no
+  // more; that brings the total within the limit, so small is never
+  // asked at all.
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0].first, "big");
   EXPECT_EQ(calls[0].second, 900u);
@@ -117,8 +123,8 @@ TEST(MemoryBudgetTest, ShrinkersRunInReverseRegistrationOrder) {
   // asked to free the (then unpinned) tiles.
   MemoryBudget budget(100);
   std::vector<std::string> order;
-  auto first = budget.register_tier("pool", 1.0);
-  auto second = budget.register_tier("programs", 1.0);
+  auto first = budget.register_tier("pool");
+  auto second = budget.register_tier("programs");
   first->set_shrinker([&](std::size_t target) {
     order.push_back("pool");
     first->credit(static_cast<std::size_t>(first->bytes()) - target);
@@ -138,21 +144,20 @@ TEST(MemoryBudgetTest, ShrinkersRunInReverseRegistrationOrder) {
 
 TEST(MemoryBudgetTest, RebalanceTerminatesWithoutProgress) {
   // A tier whose bytes are all pinned cannot meet its target. rebalance
-  // must stop (bounded passes), not spin until the heat death.
+  // asks it once and stops instead of spinning until the heat death.
   MemoryBudget budget(100);
-  auto pinned = budget.register_tier("pinned", 1.0);
+  auto pinned = budget.register_tier("pinned");
   std::atomic<int> shrinks{0};
   pinned->set_shrinker([&](std::size_t) { ++shrinks; });  // frees nothing
   pinned->charge(500);
   budget.rebalance();
-  EXPECT_GE(shrinks.load(), 1);
-  EXPECT_LE(shrinks.load(), 3);
+  EXPECT_EQ(shrinks.load(), 1);          // one pass, one ask per tier
   EXPECT_EQ(budget.total_bytes(), 500);  // honest: still over, all pinned
 }
 
 TEST(BudgetCacheTest, ZeroByteEntriesAreCountBounded) {
   MemoryBudget budget(1000);
-  auto tier = budget.register_tier("cache", 1.0);
+  auto tier = budget.register_tier("cache");
   BlobCache cache(2, weigh_blob, tier);
   for (int k = 0; k < 3; ++k) (void)cache.get_or_make(k, make_blob(0));
   KeyedCacheStats s = cache.stats();
@@ -166,7 +171,7 @@ TEST(BudgetCacheTest, OversizeValueAdmittedThenDroppedWithoutCollateral) {
   // The budget's limit is the only byte bound, so it bounds a single
   // value too.
   MemoryBudget budget(100);
-  auto tier = budget.register_tier("cache", 1.0);
+  auto tier = budget.register_tier("cache");
   BlobCache cache(8, weigh_blob, tier);
   auto small = cache.get_or_make(1, make_blob(10));
   auto huge = cache.get_or_make(2, make_blob(150));  // > the limit alone
@@ -188,7 +193,7 @@ TEST(BudgetCacheTest, OversizeValueAdmittedThenDroppedWithoutCollateral) {
 
 TEST(BudgetCacheTest, CacheWiresItsOwnShrinkerAndUnwiresItOnDestruction) {
   MemoryBudget budget(100);
-  auto tier = budget.register_tier("cache", 1.0);
+  auto tier = budget.register_tier("cache");
   {
     BlobCache cache(8, weigh_blob, tier);
     (void)cache.get_or_make(1, make_blob(60));
@@ -207,9 +212,26 @@ TEST(BudgetCacheTest, CacheWiresItsOwnShrinkerAndUnwiresItOnDestruction) {
   EXPECT_EQ(budget.stats().tiers[0].shrinks, 1);
 }
 
+TEST(BudgetCacheTest, DestroyedCacheCreditsEveryByteItCharged) {
+  MemoryBudget budget(100);
+  auto tier = budget.register_tier("cache");
+  std::shared_ptr<const Blob> held;
+  {
+    BlobCache cache(8, weigh_blob, tier);
+    (void)cache.get_or_make(1, make_blob(40));
+    held = cache.get_or_make(2, make_blob(20));  // still held at destruction
+    EXPECT_EQ(tier->bytes(), 60);
+  }
+  // The held entry's bytes are credited too: with the cache gone, nothing
+  // else ever would.
+  EXPECT_EQ(tier->bytes(), 0);
+  EXPECT_EQ(budget.total_bytes(), 0);
+  EXPECT_EQ(held->size, 20u);  // the holder's value outlives the cache
+}
+
 TEST(BudgetCacheTest, InFlightFillsRaceShrinkAndClearSafely) {
   MemoryBudget budget(4096);
-  auto tier = budget.register_tier("cache", 1.0);
+  auto tier = budget.register_tier("cache");
   auto cache = std::make_shared<BlobCache>(16, weigh_blob, tier);
 
   std::atomic<bool> stop{false};
@@ -310,9 +332,8 @@ TEST(MemoryBudgetTest, ServiceSoakQuiescesUnderTheBudget) {
           << "round " << round << " request " << i;
   }
 
-  // Quiesce: nothing in flight. A final rebalance collects references
-  // released by the last completions, then the invariant must hold.
-  service.memory_budget().rebalance();
+  // Quiesced: nothing in flight, and the service settled its budget
+  // after each request by itself.
   MemoryBudgetStats ms = service.memory_budget_stats();
   EXPECT_EQ(ms.limit_bytes, kBudget);
   EXPECT_LE(ms.bytes, static_cast<std::int64_t>(kBudget));
@@ -324,6 +345,33 @@ TEST(MemoryBudgetTest, ServiceSoakQuiescesUnderTheBudget) {
   // The pool was actually exercised (operands shared across programs).
   TilePoolStats ps = service.tile_pool_stats();
   EXPECT_GT(ps.hits + ps.misses, 0);
+  testing::expect_counters_add_up(service, 4 * static_cast<std::int64_t>(requests.size()));
+}
+
+TEST(MemoryBudgetTest, ServeReplaySettlesUnderTheBudget) {
+  // The replay of `dynasparse_serve --requests 8 --workers 2 --mem-budget
+  // 24m` (and 8m), whose 5 cached programs pin all 8 tile-pool operands.
+  // Evicting the holders first, and settling after every request, must
+  // leave the quiesced total within the limit, with programs and pool
+  // operands both evicted.
+  std::vector<ServiceRequest> requests;
+  for (const StreamRequestSpec& spec : synthetic_stream(8, 2023))
+    requests.push_back(materialize_request(spec));
+  for (std::size_t budget : {std::size_t{24} << 20, std::size_t{8} << 20}) {
+    ServiceOptions opts;
+    opts.workers = 2;
+    opts.memory_budget_bytes = budget;
+    InferenceService service(opts);
+    std::vector<RequestId> ids;
+    for (const ServiceRequest& req : requests) ids.push_back(service.submit(req));
+    for (RequestId id : ids) (void)service.wait(id);
+
+    const MemoryBudgetStats ms = service.memory_budget_stats();
+    EXPECT_LE(ms.bytes, static_cast<std::int64_t>(budget)) << budget << " bytes";
+    EXPECT_GT(service.cache_stats().evictions, 0) << budget << " bytes";
+    EXPECT_GT(service.tile_pool_stats().evictions, 0) << budget << " bytes";
+    testing::expect_counters_add_up(service, static_cast<std::int64_t>(ids.size()));
+  }
 }
 
 }  // namespace

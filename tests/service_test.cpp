@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <variant>
@@ -376,11 +377,6 @@ TEST(ServiceTest, RuntimeOptionsSignatureFlipsOnEveryField) {
     r.collect_timeline = !r.collect_timeline;
     flipped.push_back(r);
   }
-  {
-    RuntimeOptions r = base;
-    r.functional = !r.functional;
-    flipped.push_back(r);
-  }
   for (std::size_t i = 0; i < flipped.size(); ++i)
     EXPECT_NE(runtime_options_signature(flipped[i]), sig)
         << "flipped field " << i << " did not change the signature";
@@ -435,12 +431,10 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   testing::expect_counters_add_up(service, 3);
 }
 
-TEST(ServiceTest, DefaultBudgetIsTheSumOfTheTierWeights) {
-  // memory_budget_bytes = 0 resolves to the tier weights' sum: 512 MiB
-  // each for the tile pool and compiled programs, 256 MiB for reports,
-  // and 32 MiB for plans while the plan store is on. options() and the
-  // budget_limit counter report the effective limit; an explicit value
-  // is kept as given.
+TEST(ServiceTest, DefaultBudgetResolvesToAFixedLimit) {
+  // memory_budget_bytes = 0 resolves to 1280 MiB, plus 32 MiB for plans
+  // while the plan store is on. options() and the budget_limit counter
+  // report the effective limit; an explicit value is kept as given.
   auto limit_of = [](const ServiceOptions& o) {
     InferenceService svc(o);
     const std::size_t limit = svc.options().memory_budget_bytes;
@@ -457,6 +451,38 @@ TEST(ServiceTest, DefaultBudgetIsTheSumOfTheTierWeights) {
   EXPECT_EQ(limit_of(opts), std::size_t{1312} << 20);
   opts.memory_budget_bytes = 12345;
   EXPECT_EQ(limit_of(opts), 12345u);
+}
+
+TEST(ServiceTest, EveryCounterIsCheckedOrListed) {
+  // The counter census: with every tier on, each metrics() name is read
+  // by an identity in tests/service_counters.hpp or held by its
+  // kUncheckedCounters, and every exact name that list holds exists.
+  ServiceOptions opts;
+  opts.workers = 2;
+  opts.result_cache_capacity = 4;
+  opts.plan_store_capacity = 4;
+  InferenceService service(opts);
+  std::vector<ServiceRequest> requests;
+  for (std::uint64_t seed : {41, 42, 41})
+    requests.push_back(make_request(seed, GnnModelKind::kGcn));
+  service.run_batch(requests);
+
+  const std::set<std::string> read = testing::expect_counters_add_up(service, 3);
+  auto listed = [](const std::string& name) {
+    for (const char* pattern : testing::kUncheckedCounters)
+      if (testing::matches_counter(pattern, name)) return true;
+    return false;
+  };
+  std::set<std::string> names;
+  const Metrics metrics = service.metrics();
+  for (const Metrics::Metric& m : metrics.list()) {
+    names.insert(m.name);
+    EXPECT_TRUE(read.count(m.name) || listed(m.name))
+        << m.name << ": no identity reads it and kUncheckedCounters lacks it";
+  }
+  for (const std::string pattern : testing::kUncheckedCounters)
+    if (pattern.find('*') == std::string::npos)
+      EXPECT_TRUE(names.count(pattern)) << pattern << " is listed but not a metric";
 }
 
 TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
@@ -490,7 +516,7 @@ TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
     sample.model_name = "r";
     const std::size_t one = sample.approx_footprint_bytes();
     MemoryBudget budget(2 * one + one / 2);  // room for ~2.5 reports
-    ResultCache cache(100, budget.register_tier("result", 1.0));
+    ResultCache cache(100, budget.register_tier("result"));
     for (std::uint64_t k = 1; k <= 4; ++k)
       cache.get_or_run(ResultKey{{k, 1, 1}, 7}, [&] { return sample; });
     ResultCacheStats s = cache.stats();
@@ -508,7 +534,7 @@ TEST(ServiceTest, ResultCacheEvictsByCountAndBytes) {
     InferenceReport huge = small;
     huge.model_name.assign(4 * one, 'x');  // footprint >> the budget
     MemoryBudget budget(2 * one);
-    ResultCache cache(100, budget.register_tier("result", 1.0));
+    ResultCache cache(100, budget.register_tier("result"));
     cache.get_or_run(ResultKey{{1, 1, 1}, 7}, [&] { return small; });
     cache.get_or_run(ResultKey{{2, 1, 1}, 7}, [&] { return huge; });
     ResultCacheStats s = cache.stats();

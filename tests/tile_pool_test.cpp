@@ -174,7 +174,7 @@ TEST(TilePoolTest, HeldOperandHeavierThanTheBudgetStaysResident) {
   // operand the pool dropped would be held but counted nowhere: the pool
   // keeps it resident and charged even over a 1-byte budget.
   MemoryBudget budget(1);
-  auto tier = budget.register_tier("tile_pool", 1.0);
+  auto tier = budget.register_tier("tile_pool");
   TilePool pool(16, tier);  // wires its own shrinker to the tier
   TilePool::Key key{7, 7, 7};
   auto held = pool.get_or_build(key, [] { return tiny_partitioned(); });

@@ -36,8 +36,7 @@
 //                     (plans + compiled programs + tile pool + reports),
 //                     the only byte bound on them. Accepts "512m" / "2g"
 //                     style suffixes; bare numbers are bytes. Default 0 =
-//                     the sum of the tier weights (1280 MiB, 1312 MiB
-//                     with --plan-store)
+//                     1280 MiB (1312 MiB with --plan-store)
 //   --tile-pool N     shared operand tile-pool capacity in entries
 //                     (default 64; 0 = each program holds private tiles)
 //   --max-queue N     bound the request queue to N queued requests
