@@ -46,8 +46,8 @@ struct CompileStats {
   double sparsity_ms = 0.0;    // compile-time density profiling
   /// Sub-measurement of partition_ms (NOT added by total_ms): wall-clock
   /// inside plan_partitions only. 0.0 when the plan was reused — this is
-  /// the work a plan-seeded compile skips, and what the plan-reuse bench
-  /// gates on.
+  /// the work a plan-seeded compile skips (tests/plan_store_test.cpp
+  /// asserts it).
   double planning_ms = 0.0;
   double total_ms() const { return ir_ms + partition_ms + sparsity_ms; }
 };

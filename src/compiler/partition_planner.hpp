@@ -38,8 +38,10 @@ struct KernelWorkload {
 /// The planner's projection of a computation graph: one workload
 /// descriptor per kernel IR. Every planning site (compile() and the
 /// service's PlanStore) routes through this, so a stored plan is derived
-/// from exactly the inputs a cold compile would plan from — keep any new
-/// planner input here AND in plan_signature (compiler/signature.hpp).
+/// from exactly the inputs a cold compile would plan from. plan_key
+/// (compiler/signature.hpp) lists every input that this projection and
+/// plan_partitions read: a new planner input goes there too, or requests
+/// that plan differently would share a stored plan.
 std::vector<KernelWorkload> planner_workloads(const std::vector<KernelIR>& kernels);
 
 /// Algorithm 9. Partition sizes are multiples of psys (systolic alignment)

@@ -22,8 +22,6 @@ static_assert(sizeof(Dataset) == 280, "Dataset changed: update dataset_signature
 static_assert(sizeof(CsrMatrix) == 88, "CsrMatrix changed: update dataset_signature");
 static_assert(sizeof(CooEntry) == 24, "CooEntry changed: update dataset_signature");
 static_assert(sizeof(SimConfig) == 80, "SimConfig changed: update config_signature");
-static_assert(sizeof(KernelIR) == 120, "KernelIR changed: update ir_signature");
-static_assert(sizeof(PartitionPlan) == 24, "PartitionPlan changed: update ir_signature");
 static_assert(sizeof(RuntimeOptions) == 16,
               "RuntimeOptions changed: update runtime_options_signature");
 static_assert(sizeof(CompileKey) == 24, "CompileKey changed: update make_result_key");
@@ -162,36 +160,24 @@ std::uint64_t config_signature(const SimConfig& cfg) {
   return h.digest();
 }
 
-std::uint64_t ir_signature(const std::vector<KernelIR>& kernels,
-                           const PartitionPlan& plan) {
-  HashStream h;
-  h.i64(plan.n1).i64(plan.n2).i64(plan.n_max);
-  h.u64(kernels.size());
-  for (const KernelIR& k : kernels) {
-    h.i64(k.node_id).i64(k.num_vertices).i64(k.num_edges);
-    hash_spec(h, k.spec);
-    h.i64(k.scheme.n1)
-        .i64(k.scheme.n2)
-        .i64(k.scheme.grid_i)
-        .i64(k.scheme.grid_k)
-        .i64(k.scheme.inner_steps);
+PlanKey plan_key(const GnnModel& model, std::int64_t num_vertices,
+                 const SimConfig& cfg) {
+  PlanKey key{num_vertices, static_cast<std::int64_t>(model.kernels.size())};
+  for (const KernelSpec& s : model.kernels) {
+    key.push_back(static_cast<std::int64_t>(s.kind));
+    key.push_back(s.out_dim);
   }
-  return h.digest();
+  key.insert(key.end(), {cfg.psys, cfg.num_cores, cfg.load_balance_eta,
+                         cfg.min_partition,
+                         static_cast<std::int64_t>(cfg.onchip_tile_bytes),
+                         cfg.dense_elem_bytes});
+  return key;
 }
 
 std::uint64_t plan_signature(const GnnModel& model, std::int64_t num_vertices,
                              const SimConfig& cfg) {
   HashStream h;
-  h.i64(num_vertices);
-  h.u64(model.kernels.size());
-  for (const KernelSpec& s : model.kernels)
-    h.i64(static_cast<std::int64_t>(s.kind)).i64(s.out_dim);
-  h.i64(cfg.psys)
-      .i64(cfg.num_cores)
-      .i64(cfg.load_balance_eta)
-      .i64(cfg.min_partition)
-      .u64(cfg.onchip_tile_bytes)
-      .i64(cfg.dense_elem_bytes);
+  for (std::int64_t v : plan_key(model, num_vertices, cfg)) h.i64(v);
   return h.digest();
 }
 
@@ -211,13 +197,18 @@ CompileKey make_compile_key(const GnnModel& model, const Dataset& ds,
 }
 
 std::uint64_t runtime_options_signature(const RuntimeOptions& rt) {
+  // One name per field: a field added to RuntimeOptions — even a bool
+  // that fits in its padding, which the sizeof pin cannot see — fails
+  // this binding until it is named and hashed here.
+  const auto& [strategy, hide_ahm, hide_runtime, host_threads, detailed_timing,
+               collect_timeline] = rt;
   HashStream h;
-  h.i64(static_cast<std::int64_t>(rt.strategy))
-      .i64(rt.hide_ahm ? 1 : 0)
-      .i64(rt.hide_runtime ? 1 : 0)
-      .i64(rt.host_threads)
-      .i64(rt.detailed_timing ? 1 : 0)
-      .i64(rt.collect_timeline ? 1 : 0);
+  h.i64(static_cast<std::int64_t>(strategy))
+      .i64(hide_ahm ? 1 : 0)
+      .i64(hide_runtime ? 1 : 0)
+      .i64(host_threads)
+      .i64(detailed_timing ? 1 : 0)
+      .i64(collect_timeline ? 1 : 0);
   return h.digest();
 }
 

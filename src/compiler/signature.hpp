@@ -9,18 +9,12 @@
 // the full content — every float as its bit pattern, every index array,
 // every config field — with a 64-bit FNV-1a-style word hash. Wall-clock
 // fields (CompileStats) are never part of a signature.
-//
-// ir_signature covers the reusable compiler artifact (partition plan +
-// kernel IRs with scheme metadata), matching what io/ir_io.hpp persists;
-// it lets a cache validate a stored IR snapshot against a live program.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "compiler/ir.hpp"
-#include "compiler/partition_planner.hpp"
 #include "graph/dataset.hpp"
 #include "model/model.hpp"
 #include "runtime/runtime_system.hpp"
@@ -97,26 +91,29 @@ std::uint64_t dataset_fingerprint(const Dataset& ds);
 /// would collide in the cache.
 std::uint64_t config_signature(const SimConfig& cfg);
 
-/// Hash of the reusable compiler artifact: plan + kernel IRs + schemes.
-std::uint64_t ir_signature(const std::vector<KernelIR>& kernels,
-                           const PartitionPlan& plan);
+/// The partition planner's inputs, spelled out once as a flat list: the
+/// vertex count (every kernel spans the whole graph), the kernel count,
+/// each kernel's (kind, out_dim), and the SimConfig fields
+/// plan_partitions reads (psys, num_cores, load_balance_eta,
+/// min_partition, and the onchip_tile_bytes / dense_elem_bytes behind
+/// max_partition_size). A strict subset of the CompileKey content: weight
+/// values, feature nonzeros, graph topology beyond |V|, and the
+/// non-planning config fields stay out, so *similar* requests — same
+/// model/plan shape but a different dataset instance, pruning level, or
+/// weight draw — have equal keys even though their CompileKeys differ.
+/// Equal keys are equal planner inputs, so plan_partitions returns the
+/// identical PartitionPlan for both — which is what licenses the
+/// PlanStore (service/plan_store.hpp), keyed on this list, to seed
+/// compile_with_plan and still produce a bit-identical program. Keep in
+/// sync with plan_partitions the same way config_signature tracks
+/// SimConfig: a new planner input MUST be added here or incompatible
+/// requests would share plans.
+using PlanKey = std::vector<std::int64_t>;
+PlanKey plan_key(const GnnModel& model, std::int64_t num_vertices,
+                 const SimConfig& cfg);
 
-/// Plan-compatibility signature: hashes exactly the partition planner's
-/// inputs — the per-kernel workload sequence (kind, out_dim; every kernel
-/// spans the whole graph, so one vertex count covers all of them) plus
-/// the SimConfig fields plan_partitions reads (psys, num_cores,
-/// load_balance_eta, min_partition, and the onchip_tile_bytes /
-/// dense_elem_bytes behind max_partition_size). A strict subset of the
-/// CompileKey content: weight values, feature nonzeros, graph topology
-/// beyond |V|, and the non-planning config fields do not flow in, so
-/// *similar* requests — same model/plan shape but a different dataset
-/// instance, pruning level, or weight draw — collide here even though
-/// their CompileKeys differ. Equal signatures guarantee plan_partitions
-/// would return the identical PartitionPlan, which is what licenses the
-/// PlanStore (service/plan_store.hpp) to seed compile_with_plan and still
-/// produce a bit-identical program. Keep in sync with plan_partitions the
-/// same way config_signature tracks SimConfig: a new planner input MUST
-/// be added here or incompatible requests would share plans.
+/// Hash of plan_key(model, num_vertices, cfg): equal for every request
+/// that would plan identically. The batch scheduler groups on it.
 std::uint64_t plan_signature(const GnnModel& model, std::int64_t num_vertices,
                              const SimConfig& cfg);
 

@@ -36,11 +36,10 @@ using CacheStats = KeyedCacheStats;
 class CompilationCache {
  public:
   /// `plans` (optional, shared) seeds the plan of every cache-miss
-  /// compile: a miss first consults the PlanStore for a plan-compatible
-  /// snapshot (service/plan_store.hpp) and routes through
-  /// compile_with_plan, re-planning from scratch only for never-seen plan
-  /// shapes. Null = every miss plans from scratch (the pre-PlanStore
-  /// behavior). `tier` charges the approximate resident program
+  /// compile: a miss looks its planner inputs up in the PlanStore
+  /// (service/plan_store.hpp) and routes through compile_with_plan,
+  /// planning from scratch only for never-seen inputs. Null = every miss
+  /// plans from scratch. `tier` charges the approximate resident program
   /// footprint to a shared MemoryBudget, whose limit bounds it; `pool`
   /// routes the dataset operands of every miss-compile through the
   /// shared TilePool (null = private copies).

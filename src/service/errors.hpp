@@ -14,7 +14,7 @@
 //   RequestAbortedError / CancelledError / DeadlineExceededError
 //     (util/cancellation.hpp) — the request's own cancellation fired
 //   AdmissionRejectedError, ExecutionError (service/inference_service.hpp)
-//   ShutdownError, PlanSnapshotError, StreamParseError (this header)
+//   ShutdownError, StreamParseError (this header)
 //   WireProtocolError (net/wire.hpp), NetError (net/client.hpp),
 //   NetSetupError (net/errors.hpp)
 
@@ -26,14 +26,6 @@ namespace dynasparse {
 /// after close, a request still queued when the service is destroyed).
 /// Maps to WireErrorCode::kShuttingDown.
 struct ShutdownError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// A PlanStore disk snapshot failed integrity validation (missing or
-/// malformed irsig trailer, signature mismatch). Always caught inside
-/// PlanStore — the entry is dropped and re-planned — but typed so the
-/// handler cannot accidentally swallow anything broader.
-struct PlanSnapshotError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 

@@ -19,22 +19,8 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// The limit memory_budget_bytes = 0 resolves to: 1280 MiB, plus 32 MiB
-/// when a plan store runs (plans are kilobytes against the caches'
-/// megabytes).
+/// The limit memory_budget_bytes = 0 resolves to.
 constexpr std::size_t kDefaultBudget = std::size_t{1280} << 20;
-constexpr std::size_t kPlanStoreBudget = std::size_t{32} << 20;
-
-/// The PlanStore for `opts`, or null when plan reuse is disabled.
-std::shared_ptr<PlanStore> make_plan_store(const ServiceOptions& opts,
-                                           MemoryBudget& budget) {
-  if (opts.plan_store_capacity == 0) return nullptr;
-  PlanStoreOptions po;
-  po.capacity = opts.plan_store_capacity;
-  po.dir = opts.plan_store_dir;
-  po.tier = budget.register_tier("plans");
-  return std::make_shared<PlanStore>(std::move(po));
-}
 
 /// Reject nonsense, resolve defaults: options().workers and
 /// options().memory_budget_bytes always report what the service will
@@ -51,9 +37,7 @@ ServiceOptions validate_and_resolve(ServiceOptions o) {
     throw std::invalid_argument("ServiceOptions::batch_window_us must be >= 0");
   if (o.workers == 0) o.workers = std::min(parallel_hardware_threads(), 16);
   o.workers = std::max(o.workers, 1);
-  if (o.memory_budget_bytes == 0)
-    o.memory_budget_bytes =
-        kDefaultBudget + (o.plan_store_capacity > 0 ? kPlanStoreBudget : 0);
+  if (o.memory_budget_bytes == 0) o.memory_budget_bytes = kDefaultBudget;
   return o;
 }
 
@@ -120,12 +104,14 @@ ServiceRequest ServiceRequest::own(GnnModel model, Dataset dataset,
 InferenceService::InferenceService(ServiceOptions options)
     : options_(validate_and_resolve(options)),
       budget_(std::make_shared<MemoryBudget>(options_.memory_budget_bytes)),
-      // Tier registration order (pool, plans, compile, result) is the
-      // reverse of shrink order — see the member-declaration comment.
-      // Each cache wires its own shrinker to the tier it is given.
+      // Tier registration order (pool, compile, result) is the reverse
+      // of shrink order — see the member-declaration comment. Each cache
+      // wires its own shrinker to the tier it is given.
       tile_pool_(std::make_shared<TilePool>(options_.tile_pool_capacity,
                                             budget_->register_tier("tile_pool"))),
-      plan_store_(make_plan_store(options_, *budget_)),
+      plan_store_(options_.plan_store_capacity > 0
+                      ? std::make_shared<PlanStore>(options_.plan_store_capacity)
+                      : nullptr),
       cache_(options_.cache_capacity, plan_store_,
              budget_->register_tier("compile"), tile_pool_),
       result_cache_(options_.result_cache_capacity,
@@ -581,14 +567,8 @@ Metrics InferenceService::metrics() const {
   m.counter("plan_aborted_retries", ps.aborted_retries);
   m.counter("plan_entries", ps.entries);
   m.counter("plan_evictions", ps.evictions);
-  m.counter("plan_bytes", ps.bytes);
   m.counter("plan_planned", ps.planned);
   m.counter("plan_seeded", ps.seeded);
-  m.counter("plan_seeded_exact", ps.seeded_exact);
-  m.counter("plan_rejected", ps.rejected);
-  m.counter("plan_disk_hits", ps.disk_hits);
-  m.counter("plan_disk_writes", ps.disk_writes);
-  m.counter("plan_disk_errors", ps.disk_errors);
   m.gauge("plan_planning_ms", ps.planning_ms);
 
   add_cache_metrics(m, "pool_", tile_pool_stats());

@@ -84,10 +84,9 @@
 //
 // Fault injection: ServiceOptions::fault_spec (or DYNASPARSE_FAULT_SPEC)
 // arms the process-global chaos injector (util/fault_injection.hpp).
-// Failures in the optional tiers — plan-store disk, result memoization
-// in-flight dedup — degrade (re-plan, retry, cold path) with a logged
-// counter instead of failing the request; only faults in the request's
-// own compile/execute fail that one request, typed, in isolation.
+// A fault in a request's own compile or execute fails that one request,
+// typed, in isolation; queue.delay only stalls a worker; a request that
+// completes is bit-identical to a fault-free run.
 //
 // Shutdown contract: shutdown() (also run by the destructor) stops
 // accepting submits (a racing submit() throws ShutdownError and
@@ -245,17 +244,17 @@ struct ServiceOptions {
   int workers = 0;
   /// CompilationCache capacity (programs). 0 disables caching.
   std::size_t cache_capacity = 16;
-  /// ONE process-wide byte budget spanning every reuse tier — tile pool,
-  /// plan store, compilation cache, result cache (util/memory_budget.hpp)
+  /// ONE process-wide byte budget spanning every byte-holding reuse tier
+  /// — tile pool, compilation cache, result cache (util/memory_budget.hpp)
   /// — and the only byte bound on them. No tier has a share of its own:
-  /// crossing the limit evicts the overage from the result, compile and
-  /// plan caches first and from the tile pool last, so the programs that
-  /// pin pool operands go before the pool is asked to free them. 0
-  /// (default) resolves to 1280 MiB, or 1312 MiB with a plan store, and
-  /// options().memory_budget_bytes reports the effective limit. The aim
-  /// is "quiesced total <= limit": a charge may overshoot while requests
-  /// still hold the entries it would evict, and every request settles
-  /// the budget once it has let go of them (README, "Memory model").
+  /// crossing the limit evicts the overage from the result and compile
+  /// caches first and from the tile pool last, so the programs that pin
+  /// pool operands go before the pool is asked to free them. 0 (default)
+  /// resolves to 1280 MiB, and options().memory_budget_bytes reports the
+  /// effective limit. The aim is "quiesced total <= limit": a charge may
+  /// overshoot while requests still hold the entries it would evict, and
+  /// every request settles the budget once it has let go of them
+  /// (README, "Memory model").
   std::size_t memory_budget_bytes = 0;
   /// TilePool capacity in pooled operands (src/matrix/tile_pool.hpp):
   /// programs compiled from the same dataset under the same partition
@@ -288,24 +287,19 @@ struct ServiceOptions {
   std::size_t result_cache_capacity = 0;
   /// PlanStore capacity in plans (service/plan_store.hpp). 0 disables
   /// cross-request plan reuse (the default): every compilation-cache miss
-  /// plans its partitions from scratch. When > 0, a miss first consults
-  /// the store for a plan-compatible snapshot (same model/plan shape,
-  /// vertex count, and planning config — plan_signature) and routes
-  /// through compile_with_plan, skipping the planner; reports stay
-  /// bit-identical to plan-from-scratch compilation by the determinism
-  /// contract.
+  /// plans its partitions from scratch. When > 0, a miss first looks up
+  /// the plan stored under its planner inputs (plan_key: vertex count,
+  /// kernel shapes, planning config) and routes through
+  /// compile_with_plan, skipping the planner; reports stay bit-identical
+  /// to plan-from-scratch compilation by the determinism contract.
   std::size_t plan_store_capacity = 0;
-  /// Disk tier for the plan store (ignored while plan_store_capacity is
-  /// 0). Non-empty: plans persist as IR snapshots under this directory,
-  /// and a restarted service warm-starts its compiler from them.
-  std::string plan_store_dir;
   /// Default relative deadline for submitted requests, in milliseconds.
   /// 0 = none (the pre-deadline behavior). A request's own deadline_ms,
   /// when set, wins. run_one() is never deadline-bounded — it executes
   /// synchronously for a caller that is, by construction, still waiting.
   std::int64_t default_deadline_ms = 0;
   /// Fault-injection spec (util/fault_injection.hpp grammar, e.g.
-  /// "plan_store.disk_read:0.3,seed:7"). Non-empty: the constructor arms
+  /// "runtime.kernel_fault:0.3,seed:7"). Non-empty: the constructor arms
   /// the process-global injector with it (malformed specs throw
   /// std::invalid_argument). Empty (default): whatever
   /// DYNASPARSE_FAULT_SPEC armed — or nothing — stays in effect.
@@ -504,7 +498,7 @@ class InferenceService {
   const ServiceOptions options_;
   // Declaration order is load-bearing twice over: the budget must outlive
   // every tier handle (so it is first), and tiers register with it in
-  // member-init order — pool, plans, compile, result — which is the order
+  // member-init order — pool, compile, result — which is the order
   // rebalance() walks in REVERSE, so the program/report caches drop
   // their pool-operand references before the pool is asked to free them.
   std::shared_ptr<MemoryBudget> budget_;

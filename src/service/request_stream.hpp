@@ -1,7 +1,6 @@
 #pragma once
 // Request-stream format: a line-oriented description of a serving
-// workload, replayed by tools/dynasparse_serve.cpp and the service
-// throughput bench.
+// workload, replayed by tools/dynasparse_serve.cpp.
 //
 //   # comment lines ignored; blank lines ignored
 //   dataset=CO model=gcn scale=4 hidden=16 prune=0.5 seed=7 repeat=2
@@ -60,7 +59,8 @@ ServiceRequest materialize_request(const StreamRequestSpec& spec);
 
 /// A synthetic mixed workload: `n` requests cycling through a fixed
 /// roster of (dataset, model) pairs, seeded by `seed`. Used by the serve
-/// tool's --requests mode and the throughput bench.
+/// tool's --requests mode, dynasparse_loadgen, bench/unarmed_overhead
+/// and the service tests.
 std::vector<StreamRequestSpec> synthetic_stream(int n, std::uint64_t seed);
 
 }  // namespace dynasparse

@@ -9,9 +9,8 @@ namespace dynasparse {
 
 const std::vector<std::string>& fault_site_names() {
   static const std::vector<std::string> kNames = {
-      kFaultCompileAlloc,   kFaultPlanStoreDiskRead, kFaultPlanStoreDiskWrite,
-      kFaultQueueDelay,     kFaultRuntimeKernelFault,
-      kFaultNetAccept,      kFaultNetRead,
+      kFaultCompileAlloc, kFaultQueueDelay, kFaultRuntimeKernelFault,
+      kFaultNetAccept,    kFaultNetRead,
   };
   return kNames;
 }

@@ -4,12 +4,12 @@
 // A fault *site* is a named point in the code — `fault_point("x.y")` —
 // that normally does nothing. Arming the injector with a spec like
 //
-//   plan_store.disk_read:0.3,compile.alloc:0.1:5,seed:42
+//   queue.delay:0.3,compile.alloc:0.1:5,seed:42
 //
 // makes each listed site fire with the given probability (an optional
 // third field bounds how many times it may fire at all; `seed:N` seeds
 // the RNG). What "fire" means is the call site's business: throwing
-// std::bad_alloc, failing a disk read, sleeping in the worker loop —
+// std::bad_alloc, sleeping in the worker loop, dropping a connection —
 // the injector only answers yes/no.
 //
 // Determinism: each armed site owns its own mt19937_64 seeded from
@@ -55,8 +55,6 @@ struct FaultInjectedError : std::runtime_error {
 // DYNASPARSE_FAULT_SPEC must be a loud error, not a silently-unarmed
 // chaos run.
 inline constexpr const char* kFaultCompileAlloc = "compile.alloc";
-inline constexpr const char* kFaultPlanStoreDiskRead = "plan_store.disk_read";
-inline constexpr const char* kFaultPlanStoreDiskWrite = "plan_store.disk_write";
 inline constexpr const char* kFaultQueueDelay = "queue.delay";
 inline constexpr const char* kFaultRuntimeKernelFault = "runtime.kernel_fault";
 /// Network front-end sites (net/server.cpp, net/connection.cpp): a fired

@@ -1,7 +1,7 @@
 #pragma once
 // MemoryBudget — one process-wide byte arbiter spanning every cache tier.
 //
-// Every reuse tier (the TilePool, PlanStore, CompilationCache and
+// Every byte-holding reuse tier (the TilePool, CompilationCache and
 // ResultCache) registers once by name and charges or credits the bytes
 // it holds as entries become ready or are evicted. The budget's ONE
 // limit is the only byte bound on those tiers. When the sum exceeds the
@@ -25,8 +25,8 @@
 //     cache's lock — and credit the tier from inside it — freely;
 //   - the pass runs in REVERSE registration order, so the holders shrink
 //     before the tiers they pin: the TilePool registers first, and the
-//     plan, program and report caches after it drop the cached programs
-//     that hold pool operands before the pool is asked to free them.
+//     program and report caches after it drop the cached programs that
+//     hold pool operands before the pool is asked to free them.
 // Callers trigger rebalance() only after releasing their own locks;
 // Tier::charge() returns whether that is needed. Concurrent passes are
 // safe without coordination: each computes a tier's target from the

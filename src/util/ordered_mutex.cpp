@@ -24,7 +24,6 @@ const char* lock_rank_name(LockRank r) {
     case LockRank::kResultCache: return "kResultCache";
     case LockRank::kCompileCache: return "kCompileCache";
     case LockRank::kPlanStore: return "kPlanStore";
-    case LockRank::kPlanStoreSide: return "kPlanStoreSide";
     case LockRank::kTilePool: return "kTilePool";
     case LockRank::kPoolDeque: return "kPoolDeque";
     case LockRank::kPoolIdle: return "kPoolIdle";

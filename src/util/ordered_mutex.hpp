@@ -32,8 +32,7 @@
 //   kNetServerLifecycle < kNetClientSend < kNetClientRecv
 //     < kServiceWorkers < kServiceSlots
 //     < kBatchGroups < kWorkQueue
-//     < kResultCache / kCompileCache / kPlanStore < kPlanStoreSide
-//     < kTilePool
+//     < kResultCache / kCompileCache / kPlanStore < kTilePool
 //     < kPoolDeque < kPoolIdle < kPoolJoin < kPoolError
 //     < kMemoryBudget
 //     < kFaultInjector < kNetServerStats
@@ -68,7 +67,6 @@ enum class LockRank : int {
   kResultCache = 400,         // ResultCache KeyedFutureCache
   kCompileCache = 410,        // CompilationCache KeyedFutureCache
   kPlanStore = 420,           // PlanStore KeyedFutureCache
-  kPlanStoreSide = 430,       // PlanStore side counters
   kTilePool = 440,            // TilePool KeyedFutureCache
   kPoolDeque = 500,           // work-stealing pool per-slot deques
   kPoolIdle = 510,            // pool idle/wake state

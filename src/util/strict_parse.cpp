@@ -60,22 +60,6 @@ std::uint64_t strict_stoull(const std::string& v) {
   });
 }
 
-std::uint64_t strict_hex_u64(const std::string& v) {
-  if (v.empty()) throw std::invalid_argument("empty hex value");
-  if (v.size() > 16)
-    throw std::out_of_range("hex value too wide for 64 bits: \"" + v + "\"");
-  std::uint64_t out = 0;
-  for (char c : v) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-    else if (c >= 'A' && c <= 'F') digit = 10 + (c - 'A');
-    else throw std::invalid_argument("not a hex value: \"" + v + "\"");
-    out = (out << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return out;
-}
-
 const char* env_text(const char* name) {
   const char* env = std::getenv(name);
   return (env && *env != '\0') ? env : nullptr;

@@ -33,12 +33,6 @@ std::int64_t strict_stoll(const std::string& v);
 std::uint64_t strict_stoull(const std::string& v);
 double strict_stod(const std::string& v);
 
-/// Whole-token base-16 parse (no 0x prefix, no sign): the PlanStore
-/// irsig trailer and other fixed-width hex fields. Throws
-/// std::invalid_argument unless every character is a hex digit (empty
-/// included), std::out_of_range past 16 digits.
-std::uint64_t strict_hex_u64(const std::string& v);
-
 /// The one sanctioned doorway to string-valued environment variables
 /// (directories, chaos specs): returns nullptr when `name` is unset OR
 /// set empty — the shell idiom `VAR= cmd` means "unset" everywhere else

@@ -6,9 +6,8 @@
 //   - typed errors only: a non-completed request surfaces as exactly one
 //     of CancelledError / DeadlineExceededError / AdmissionRejectedError
 //     / ExecutionError — wait()'s closed throw-set survives chaos;
-//   - graceful degradation: optional tiers (the plan store's disk tier)
-//     absorb their faults and fall back to the cold path, counting
-//     disk_errors, instead of failing requests;
+//   - isolation: an injected compile or kernel fault fails only the
+//     request it hits, and the service keeps serving;
 //   - determinism under chaos: a request that completes returns a report
 //     bit-identical to a fault-free run (references computed under
 //     FaultPauseScope), and a chaos run reproduces from its seed;
@@ -22,7 +21,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -78,56 +76,6 @@ std::uint64_t reference_fingerprint(const ServiceRequest& req) {
 struct DisarmGuard {
   ~DisarmGuard() { FaultInjector::global().disarm(); }
 };
-
-std::string fresh_dir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "chaos_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(ChaosTest, PlanStoreDiskFaultsDegradeWithoutFailingRequests) {
-  DisarmGuard guard;
-  // Every disk read AND write fails. The disk tier is optional by
-  // contract: requests must still complete (cold path), bit-identical,
-  // with disk_errors counting every absorbed fault.
-  // References first, while the injector is still unarmed (the service
-  // constructor arms it from fault_spec).
-  std::vector<std::pair<ServiceRequest, std::uint64_t>> work;
-  for (std::uint64_t seed : {201, 202, 203, 204})
-    for (GnnModelKind kind : {GnnModelKind::kGcn, GnnModelKind::kSage}) {
-      ServiceRequest req = chaos_request(seed, kind);
-      std::uint64_t fp = reference_fingerprint(req);
-      work.emplace_back(std::move(req), fp);
-    }
-
-  ServiceOptions opts;
-  opts.workers = 2;
-  opts.cache_capacity = 2;  // small: force evictions + recompiles
-  opts.plan_store_capacity = 8;
-  opts.plan_store_dir = fresh_dir("disk_faults");
-  opts.fault_spec = "plan_store.disk_read:1,plan_store.disk_write:1";
-  InferenceService service(opts);
-
-  std::map<RequestId, std::uint64_t> expect;
-  std::vector<RequestId> ids;
-  for (auto& [req, fp] : work) {
-    RequestId id = service.submit(req);
-    ids.push_back(id);
-    expect[id] = fp;
-  }
-  for (RequestId id : ids) {
-    InferenceReport rep;
-    ASSERT_NO_THROW(rep = service.wait(id)) << "disk faults must degrade";
-    EXPECT_EQ(rep.deterministic_fingerprint(), expect[id]);
-  }
-  PlanStoreStats pss = service.plan_store_stats();
-  EXPECT_GT(pss.disk_errors, 0);  // the degradation was exercised, not idle
-  EXPECT_EQ(pss.disk_hits, 0);    // nothing was ever trusted from disk
-  FaultSiteStats w =
-      FaultInjector::global().site_stats(kFaultPlanStoreDiskWrite);
-  EXPECT_GT(w.injected, 0);
-  testing::expect_counters_add_up(service, static_cast<std::int64_t>(ids.size()));
-}
 
 TEST(ChaosTest, CompileAllocFaultIsTypedAndCountBounded) {
   DisarmGuard guard;
@@ -343,7 +291,6 @@ TEST(ChaosTest, EverySiteArmedMixedStreamKeepsTheContract) {
   opts.cache_capacity = 4;
   opts.result_cache_capacity = 8;
   opts.plan_store_capacity = 8;
-  opts.plan_store_dir = fresh_dir("mixed");
   opts.max_queue_depth = 16;
   opts.admission = AdmissionPolicy::kReject;
   opts.fault_spec = spec;

@@ -39,8 +39,7 @@ inline const char* const kUncheckedCounters[] = {
     "result_cache_entries", "result_cache_shared_refs",
     "plan_hits", "plan_misses", "plan_inflight_joins", "plan_aborted_retries",
     "plan_entries", "plan_evictions", "plan_planned", "plan_seeded",
-    "plan_seeded_exact", "plan_rejected", "plan_disk_hits", "plan_disk_writes",
-    "plan_disk_errors", "plan_planning_ms",
+    "plan_planning_ms",
     "pool_hits", "pool_misses", "pool_evictions", "pool_inflight_joins",
     "pool_aborted_retries", "pool_pinned_skips", "pool_entries",
     "pool_shared_refs",
@@ -57,9 +56,8 @@ inline const char* const kUncheckedCounters[] = {
 /// submitted requests return a report:
 ///  - a stolen chunk is a chunk: threads_chunks_stolen <= threads_chunks;
 ///  - the budget total is the sum of its tiers, each tier holds exactly
-///    its cache's own bytes (the plan tier only while the plan store is
-///    on), and the total is within the limit: every request settles the
-///    budget once it has let go of its entries;
+///    its cache's own bytes, and the total is within the limit: every
+///    request settles the budget once it has let go of its entries;
 ///  - request conservation: every accepted request completed, was shed,
 ///    or failed with one of the counted typed errors;
 ///  - memoization: with the result cache on and every accepted request
@@ -93,8 +91,6 @@ inline std::set<std::string> expect_counters_add_up(const InferenceService& svc,
   EXPECT_EQ(get("budget_compile_bytes"), get("cache_bytes"));
   EXPECT_EQ(get("budget_result_bytes"), get("result_cache_bytes"));
   EXPECT_EQ(get("budget_tile_pool_bytes"), get("pool_bytes"));
-  if (c.count("budget_plans_bytes"))
-    EXPECT_EQ(get("budget_plans_bytes"), get("plan_bytes"));
   EXPECT_LE(get("budget_bytes"), get("budget_limit"))
       << "a quiesced service must have settled its budget";
 

@@ -432,9 +432,9 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
 }
 
 TEST(ServiceTest, DefaultBudgetResolvesToAFixedLimit) {
-  // memory_budget_bytes = 0 resolves to 1280 MiB, plus 32 MiB for plans
-  // while the plan store is on. options() and the budget_limit counter
-  // report the effective limit; an explicit value is kept as given.
+  // memory_budget_bytes = 0 resolves to 1280 MiB. options() and the
+  // budget_limit counter report the effective limit; an explicit value
+  // is kept as given.
   auto limit_of = [](const ServiceOptions& o) {
     InferenceService svc(o);
     const std::size_t limit = svc.options().memory_budget_bytes;
@@ -447,8 +447,6 @@ TEST(ServiceTest, DefaultBudgetResolvesToAFixedLimit) {
   };
   ServiceOptions opts;
   EXPECT_EQ(limit_of(opts), std::size_t{1280} << 20);
-  opts.plan_store_capacity = 4;
-  EXPECT_EQ(limit_of(opts), std::size_t{1312} << 20);
   opts.memory_budget_bytes = 12345;
   EXPECT_EQ(limit_of(opts), 12345u);
 }

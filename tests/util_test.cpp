@@ -499,10 +499,10 @@ TEST(FaultSpecTest, ParseGrammarAndRejections) {
   EXPECT_TRUE(parse_fault_spec("").empty());
 
   FaultSpec spec = parse_fault_spec(
-      "plan_store.disk_read:0.3,compile.alloc:0.1:5,seed:42");
+      "queue.delay:0.3,compile.alloc:0.1:5,seed:42");
   EXPECT_EQ(spec.seed, 42u);
   ASSERT_EQ(spec.sites.size(), 2u);
-  EXPECT_EQ(spec.sites[0].site, "plan_store.disk_read");
+  EXPECT_EQ(spec.sites[0].site, "queue.delay");
   EXPECT_DOUBLE_EQ(spec.sites[0].probability, 0.3);
   EXPECT_EQ(spec.sites[0].count, -1);
   EXPECT_EQ(spec.sites[1].site, "compile.alloc");

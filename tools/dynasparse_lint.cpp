@@ -10,7 +10,7 @@
 //   [error-taxonomy]     No `std::runtime_error(...)` constructed in
 //                        src/service or src/net: those layers speak the
 //                        closed error taxonomy (ShutdownError,
-//                        NetSetupError, PlanSnapshotError, ...) so the
+//                        NetSetupError, StreamParseError, ...) so the
 //                        wire layer can map every failure deliberately.
 //                        Deriving from std::runtime_error is fine — only
 //                        constructing the base type is flagged.

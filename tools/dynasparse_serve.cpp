@@ -33,10 +33,10 @@
 //                     repeat requests return the memoized report without
 //                     executing — bit-identical deterministic fields
 //   --mem-budget SIZE process-wide memory budget across every cache tier
-//                     (plans + compiled programs + tile pool + reports),
-//                     the only byte bound on them. Accepts "512m" / "2g"
-//                     style suffixes; bare numbers are bytes. Default 0 =
-//                     1280 MiB (1312 MiB with --plan-store)
+//                     (compiled programs + tile pool + reports), the only
+//                     byte bound on them. Accepts "512m" / "2g" style
+//                     suffixes; bare numbers are bytes. Default 0 =
+//                     1280 MiB
 //   --tile-pool N     shared operand tile-pool capacity in entries
 //                     (default 64; 0 = each program holds private tiles)
 //   --max-queue N     bound the request queue to N queued requests
@@ -44,13 +44,10 @@
 //   --admission P     full-queue policy: block | reject | shed
 //                     (default block; only meaningful with --max-queue)
 //   --plan-store N    PlanStore capacity in plans (default 0 = off):
-//                     compilation-cache misses seed their partition plan
-//                     from plan-compatible earlier requests instead of
-//                     re-planning — bit-identical reports, cheaper compiles
-//   --plan-store-dir D  disk tier for the plan store: plans persist as IR
-//                     snapshots under D and a restarted serve process
-//                     warm-starts from them (implies --plan-store 32 when
-//                     --plan-store is not given)
+//                     compilation-cache misses reuse the partition plan of
+//                     an earlier request with the same planner inputs
+//                     instead of re-planning — bit-identical reports; the
+//                     planner takes microseconds, so compiles cost the same
 //   --deadline-ms D   default per-request deadline (a duration: "250",
 //                     "250ms", "1.5s"; default 0 = none). A stream line's
 //                     own deadline_ms= wins over this.
@@ -65,7 +62,7 @@
 //                     submit burst (a duration; default off) — exercises
 //                     the cooperative-cancellation path end to end
 //   --fault SPEC      arm the fault injector (util/fault_injection.hpp
-//                     grammar, e.g. "plan_store.disk_read:0.3,seed:7")
+//                     grammar, e.g. "runtime.kernel_fault:0.3,seed:7")
 //   --warm            pre-compile every unique request before timing
 //   --seed S          seed for the synthetic workload     (default 2023)
 //   --json PATH       write the metrics as JSON, one "name": value per line
@@ -151,12 +148,11 @@ void report(const Metrics& m, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stream_path, json_path, plan_store_dir, fault_spec;
+  std::string stream_path, json_path, fault_spec;
   int requests = 16, workers = 0, intra_op = 0;
   std::size_t cache_capacity = 16, memoize = 0, max_queue = 0;
   std::size_t plan_store = 0;
   std::size_t mem_budget = 0, tile_pool = 64;
-  bool plan_store_given = false;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   std::uint64_t seed = 2023;
   std::int64_t deadline_ms = 0, cancel_after_ms = -1;  // -1 = no cancellation
@@ -194,8 +190,7 @@ int main(int argc, char** argv) {
       else if (key == "--mem-budget") mem_budget = parse_size_bytes(need_value());
       else if (key == "--tile-pool") tile_pool = size_value(need_value());
       else if (key == "--max-queue") max_queue = size_value(need_value());
-      else if (key == "--plan-store") { plan_store = size_value(need_value()); plan_store_given = true; }
-      else if (key == "--plan-store-dir") plan_store_dir = need_value();
+      else if (key == "--plan-store") plan_store = size_value(need_value());
       else if (key == "--admission") admission = parse_admission_policy(need_value());
       else if (key == "--deadline-ms") deadline_ms = parse_duration_ms(need_value());
       else if (key == "--cancel-after") cancel_after_ms = parse_duration_ms(need_value());
@@ -218,7 +213,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage("bad value for " + current_key + ": " + e.what());
   }
-  if (!plan_store_dir.empty() && !plan_store_given) plan_store = 32;
 
   ServiceOptions opts;
   opts.workers = workers;
@@ -228,7 +222,6 @@ int main(int argc, char** argv) {
   opts.max_queue_depth = max_queue;
   opts.admission = admission;
   opts.plan_store_capacity = plan_store;
-  opts.plan_store_dir = plan_store_dir;
   opts.memory_budget_bytes = mem_budget;
   opts.tile_pool_capacity = tile_pool;
   opts.default_deadline_ms = deadline_ms;
