@@ -45,9 +45,8 @@ double mean_request_ms() {
   opts.cache_capacity = pool.size();
   InferenceService service(opts);
   for (const ServiceRequest& req : pool)
-    service.cache().get_or_compile(
-        make_compile_key(*req.model, *req.dataset, req.options.config),
-        *req.model, *req.dataset, req.options.config);
+    service.cache().get_or_compile(req.compile_key(), *req.model,
+                                   *req.dataset, req.options.config);
   const double best_ms = bench::time_best_of_ms(kReps, [&] {
     std::vector<RequestId> ids;
     for (const ServiceRequest& req : pool) ids.push_back(service.submit(req));

@@ -1,6 +1,5 @@
 #include "compiler/signature.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace dynasparse {
@@ -86,57 +85,6 @@ std::uint64_t dataset_signature(const Dataset& ds) {
       .i64(static_cast<std::int64_t>(ds.features.layout()));
   h.u64(ds.features.entries().size());
   for (const CooEntry& e : ds.features.entries()) h.i64(e.row).i64(e.col).f32(e.value);
-  return h.digest();
-}
-
-std::uint64_t dataset_fingerprint(const Dataset& ds) {
-  // 64 strided probes per array + first/last element: enough that any
-  // plausible dataset perturbation (an edge rewire, a feature redraw)
-  // lands in the sample with high probability, cheap enough to run per
-  // request on the scheduler's hot path.
-  constexpr std::size_t kProbes = 64;
-  HashStream h;
-  h.str(ds.spec.name)
-      .str(ds.spec.tag)
-      .i64(ds.spec.vertices)
-      .i64(ds.spec.edges)
-      .i64(ds.spec.feature_dim)
-      .i64(ds.spec.num_classes)
-      .f64(ds.spec.h0_density)
-      .i64(ds.spec.hidden_dim)
-      .f64(ds.spec.degree_skew)
-      .i64(ds.spec.bench_scale);
-  const CsrMatrix& a = ds.graph.adjacency();
-  h.i64(ds.graph.num_vertices()).i64(ds.graph.num_edges());
-  h.i64(a.rows()).i64(a.cols());
-  auto probe_i64 = [&h](const std::vector<std::int64_t>& v) {
-    h.u64(v.size());
-    if (v.empty()) return;
-    const std::size_t stride = std::max<std::size_t>(1, v.size() / kProbes);
-    for (std::size_t i = 0; i < v.size(); i += stride) h.i64(v[i]);
-    h.i64(v.back());
-  };
-  auto probe_f32 = [&h](const std::vector<float>& v) {
-    h.u64(v.size());
-    if (v.empty()) return;
-    const std::size_t stride = std::max<std::size_t>(1, v.size() / kProbes);
-    for (std::size_t i = 0; i < v.size(); i += stride) h.f32(v[i]);
-    h.f32(v.back());
-  };
-  probe_i64(a.row_ptr());
-  probe_i64(a.col_idx());
-  probe_f32(a.values());
-  h.i64(ds.features.rows())
-      .i64(ds.features.cols())
-      .i64(static_cast<std::int64_t>(ds.features.layout()));
-  const std::vector<CooEntry>& fe = ds.features.entries();
-  h.u64(fe.size());
-  if (!fe.empty()) {
-    const std::size_t stride = std::max<std::size_t>(1, fe.size() / kProbes);
-    for (std::size_t i = 0; i < fe.size(); i += stride)
-      h.i64(fe[i].row).i64(fe[i].col).f32(fe[i].value);
-    h.i64(fe.back().row).i64(fe.back().col).f32(fe.back().value);
-  }
   return h.digest();
 }
 

@@ -12,7 +12,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/dataset.hpp"
@@ -74,17 +77,42 @@ std::uint64_t model_signature(const GnnModel& model);
 /// into reports), the adjacency CSR arrays, and the feature nonzeros.
 std::uint64_t dataset_signature(const Dataset& ds);
 
-/// Bounded-work dataset identity: the spec and array shapes in full plus
-/// a fixed-count stride sample of the adjacency arrays and feature
-/// nonzeros, instead of dataset_signature's full content walk (which
-/// costs milliseconds on the larger graphs). Content-equal datasets
-/// always fingerprint equal. Built for keys where a collision between
-/// *different* datasets is harmless — the batch scheduler groups on
-/// this, and a falsely grouped member still runs alone through execute()
-/// and executes correctly. NOT a substitute for dataset_signature in
-/// the compilation/result caches, where a collision would alias
-/// different programs.
-std::uint64_t dataset_fingerprint(const Dataset& ds);
+/// An immutable T (GnnModel or Dataset) behind a shared_ptr, signed once:
+/// every copy of a handle shares the value and its content signature
+/// (model_signature / dataset_signature). The full-content hash costs
+/// milliseconds on the larger inputs, so it runs once per input object —
+/// on the first signature() call, under std::call_once — instead of once
+/// per request that reads it. `*`, `->` and `explicit operator bool` read
+/// like the shared_ptr they wrap; a default handle is null, and calling
+/// signature() on it is undefined.
+template <typename T>
+class Signed {
+ public:
+  Signed() = default;
+  explicit Signed(T value) : state_(std::make_shared<State>(std::move(value))) {}
+
+  const T& operator*() const { return state_->value; }
+  const T* operator->() const { return &state_->value; }
+  explicit operator bool() const { return state_ != nullptr; }
+
+  std::uint64_t signature() const {
+    State& s = *state_;
+    std::call_once(s.once, [&s] { s.sig = sign(s.value); });
+    return s.sig;
+  }
+
+ private:
+  struct State {
+    explicit State(T v) : value(std::move(v)) {}
+    const T value;
+    std::once_flag once;
+    std::uint64_t sig = 0;
+  };
+  static std::uint64_t sign(const GnnModel& m) { return model_signature(m); }
+  static std::uint64_t sign(const Dataset& ds) { return dataset_signature(ds); }
+
+  std::shared_ptr<State> state_;
+};
 
 /// Hash of every SimConfig field. Keep in sync with the struct — a new
 /// field MUST be added here, or programs compiled under different configs
@@ -138,6 +166,8 @@ struct CompileKey {
   std::string to_string() const;
 };
 
+/// Hashes all three inputs in full on every call. A queued request's key
+/// comes from its signed handles instead (ServiceRequest::compile_key).
 CompileKey make_compile_key(const GnnModel& model, const Dataset& ds,
                             const SimConfig& cfg);
 

@@ -416,9 +416,10 @@ void NetServer::finalize_completions() {
     // no slot ever leaks.
     std::vector<std::uint8_t> response;
     try {
-      InferenceReport rep = service_.wait(rid);
+      // The worker fingerprinted the report once (a memo hit reads the
+      // stored value), so this thread never hashes the output.
       WireResult result;
-      result.fingerprint = rep.deterministic_fingerprint();
+      const InferenceReport rep = service_.wait(rid, nullptr, &result.fingerprint);
       result.sim_latency_ms = rep.latency_ms;
       result.server_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - p.submitted)

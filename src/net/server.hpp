@@ -16,7 +16,8 @@
 //      once) and feeds InferenceService::submit — admission control,
 //      deadlines, caches, and the fault injector all apply unchanged;
 //   3. ticks: completed requests (InferenceService::done) resolve to
-//      RESULT/ERROR frames carrying the deterministic fingerprint or the
+//      RESULT/ERROR frames carrying the deterministic fingerprint (which
+//      the worker computed, see InferenceService::wait) or the
 //      taxonomy error code (net/wire.hpp), and stalled partial frames
 //      time out (slow-loris defense) without affecting other
 //      connections;

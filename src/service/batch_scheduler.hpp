@@ -3,7 +3,7 @@
 // and the worker pool.
 //
 // The scheduler groups queued jobs by a compatibility key — the pair
-// (plan_signature, dataset_fingerprint) — and releases a whole group as
+// (plan_signature, dataset_signature) — and releases a whole group as
 // one batch. The service then runs the batch member by member, each
 // through the same execute() as a lone request, and publishes each member
 // as soon as it finishes. Members of a group may run *different models
@@ -47,19 +47,10 @@
 
 namespace dynasparse {
 
-struct GnnModel;
-struct Dataset;
-struct SimConfig;
-
 /// Compatibility key: the compiled programs have the same partition plan
 /// + kernel task grids (plan component) and the same dataset content
-/// (dataset component). The dataset half is the bounded-work
-/// dataset_fingerprint, not the full content hash — the scheduler keys
-/// every queued job, and dataset_signature's full array walk costs
-/// milliseconds on the larger graphs (it would have doubled the service's
-/// per-request hashing). A fingerprint collision merely groups unrelated
-/// members, which run one at a time either way. See
-/// compiler/signature.hpp for what each hash covers.
+/// (dataset component: the dataset handle's signature, hashed once per
+/// input object). See compiler/signature.hpp for what each hash covers.
 struct BatchKey {
   std::uint64_t plan = 0;
   std::uint64_t dataset = 0;
@@ -69,12 +60,6 @@ struct BatchKey {
   }
   bool operator!=(const BatchKey& o) const { return !(*this == o); }
 };
-
-/// Key of one service request: plan_signature of (model, |V|, config)
-/// paired with dataset_fingerprint. Lives in batch_scheduler.cpp so this
-/// header stays free of the model/dataset/signature includes.
-BatchKey make_batch_key(const GnnModel& model, const Dataset& dataset,
-                        const SimConfig& config);
 
 /// Collection policy. Defaults mean "off".
 struct BatchPolicy {
@@ -188,7 +173,8 @@ class BatchScheduler {
   };
 
   /// File `job` under its key; if the group reaches the K cutoff, move it
-  /// into `out` and return true.
+  /// into `out` and return true. The key is computed before mu_ is taken,
+  /// so the first (full) hash of a job's inputs never runs under it.
   bool add_job(Job&& job, std::vector<Job>& out) {
     const BatchKey key = key_(job);
     std::lock_guard<OrderedMutex> lk(mu_);

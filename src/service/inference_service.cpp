@@ -95,8 +95,8 @@ AdmissionPolicy parse_admission_policy(const std::string& s) {
 ServiceRequest ServiceRequest::own(GnnModel model, Dataset dataset,
                                    EngineOptions options) {
   ServiceRequest req;
-  req.model = std::make_shared<const GnnModel>(std::move(model));
-  req.dataset = std::make_shared<const Dataset>(std::move(dataset));
+  req.model = Signed<GnnModel>(std::move(model));
+  req.dataset = Signed<Dataset>(std::move(dataset));
   req.options = options;
   return req;
 }
@@ -119,8 +119,10 @@ InferenceService::InferenceService(ServiceOptions options)
       queue_(options_.max_queue_depth),
       batcher_(queue_, BatchPolicy{options_.batch_window_us, options_.max_batch_size},
                [](const Job& job) {
-                 return make_batch_key(*job.request.model, *job.request.dataset,
-                                       job.request.options.config);
+                 const ServiceRequest& r = job.request;
+                 return BatchKey{plan_signature(*r.model, r.dataset->graph.num_vertices(),
+                                                r.options.config),
+                                 r.dataset.signature()};
                }) {
   // Requests executed (or joined) by this service's destructor use the
   // shared pool; constructing the pool first pins its static lifetime
@@ -265,9 +267,11 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
     }
     const ServiceRequest& req = job.request;
     InferenceReport report;
+    std::uint64_t fingerprint = 0;
     std::exception_ptr error;
     try {
-      report = run_request(*req.model, *req.dataset, req.options, token);
+      report = run_request(req.compile_key(), *req.model, *req.dataset,
+                           req.options, token, &fingerprint);
     } catch (...) {
       error = std::current_exception();
     }
@@ -275,14 +279,17 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
     // last charge found held can go now: settle the budget before the
     // outcome is published (one lock and one compare when under it).
     budget_->rebalance();
-    publish_result(job.id, std::move(report), std::move(error), token);
+    publish_result(job.id, std::move(report), fingerprint, std::move(error),
+                   token);
   }
 }
 
-InferenceReport InferenceService::run_request(const GnnModel& model,
+InferenceReport InferenceService::run_request(const CompileKey& key,
+                                              const GnnModel& model,
                                               const Dataset& ds,
                                               const EngineOptions& options,
-                                              const CancellationToken& token) {
+                                              const CancellationToken& token,
+                                              std::uint64_t* fingerprint) {
   // One intra-op scope per request: the service-wide cap combined with the
   // request's own host_threads (thread counts never change results). It
   // covers compilation too — the partition planner's parallel loops take
@@ -292,26 +299,31 @@ InferenceReport InferenceService::run_request(const GnnModel& model,
   ParallelMaxThreadsScope scope(
       combine_caps(options_.intra_op_threads, options.runtime.host_threads));
   token.check();
-  // The compile key is hashed once: it keys the compilation cache and,
-  // extended with the runtime-options signature, the result cache.
-  const CompileKey ckey = make_compile_key(model, ds, options.config);
+  // `key` keys the compilation cache and, extended with the
+  // runtime-options signature, the result cache.
   auto run = [&] {
     std::shared_ptr<const CompiledProgram> prog =
-        cache_.get_or_compile(ckey, model, ds, options.config, token);
+        cache_.get_or_compile(key, model, ds, options.config, token);
     InferenceReport report = run_compiled(*prog, options.runtime, token);
     report.dataset_tag = ds.spec.tag;
     return report;
   };
-  if (!result_cache_.enabled()) return run();
+  if (!result_cache_.enabled()) {
+    InferenceReport report = run();
+    if (fingerprint) *fingerprint = report.deterministic_fingerprint();
+    return report;
+  }
   // Equal ResultKeys imply bit-identical deterministic report fields
   // (determinism contract), so a hit is served without compiling or
   // executing. The fill runs under this request's token: if it aborts,
   // same-key requests joined on other threads retry under their own
   // tokens (ResultCache::get_or_run's in-flight dedup and hand-off).
-  return result_cache_.get_or_run(make_result_key(ckey, options.runtime), run);
+  return result_cache_.get_or_run(make_result_key(key, options.runtime), run,
+                                  fingerprint);
 }
 
 void InferenceService::publish_result(RequestId id, InferenceReport&& report,
+                                      std::uint64_t fingerprint,
                                       std::exception_ptr raw,
                                       const CancellationToken& token) {
   // Classify the outcome outside the lock: cooperative aborts keep
@@ -365,6 +377,7 @@ void InferenceService::publish_result(RequestId id, InferenceReport&& report,
       ++robust_.cancelled;
     } else {
       slot.report = std::move(report);
+      slot.fingerprint = fingerprint;
       slot.state = RequestState::kDone;
     }
   }
@@ -663,7 +676,8 @@ bool InferenceService::done(RequestId id) const {
   return s == RequestState::kDone || s == RequestState::kFailed;
 }
 
-InferenceReport InferenceService::wait(RequestId id, RequestTiming* timing) {
+InferenceReport InferenceService::wait(RequestId id, RequestTiming* timing,
+                                       std::uint64_t* fingerprint) {
   std::unique_lock<OrderedMutex> lk(slots_mu_);
   if (slots_.find(id) == slots_.end())
     throw std::invalid_argument("unknown request id");
@@ -694,6 +708,7 @@ InferenceReport InferenceService::wait(RequestId id, RequestTiming* timing) {
     timing->total_ms = ms_between(slot.submitted, slot.finished);
   }
   if (slot.error) std::rethrow_exception(slot.error);
+  if (fingerprint) *fingerprint = slot.fingerprint;
   return std::move(slot.report);
 }
 
@@ -734,7 +749,9 @@ std::vector<InferenceReport> InferenceService::run_batch(
 
 InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& ds,
                                           const EngineOptions& options) {
-  InferenceReport report = run_request(model, ds, options, {});
+  InferenceReport report =
+      run_request(make_compile_key(model, ds, options.config), model, ds,
+                  options, {});
   budget_->rebalance();  // as process_batch does after each member
   return report;
 }

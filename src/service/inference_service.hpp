@@ -47,7 +47,7 @@
 // Continuous batching (ServiceOptions::batch_window_us /
 // max_batch_size): workers dequeue through a BatchScheduler
 // (service/batch_scheduler.hpp) that groups queued requests by
-// (plan_signature, dataset_fingerprint) under a collect-for-a-window-or-K
+// (plan_signature, dataset signature) under a collect-for-a-window-or-K
 // policy and releases each group as one batch. The worker then runs the
 // batch member by member, each through the same path as a lone request
 // (run_request: compile, then RuntimeSystem::execute), and publishes each
@@ -126,10 +126,11 @@
 namespace dynasparse {
 
 /// One unit of serving work. The model/dataset are shared immutable
-/// inputs; requests are cheap to copy and queue.
+/// inputs, each signed once (compiler/signature.hpp): requests are cheap
+/// to copy and queue, and every copy reads the same signatures.
 struct ServiceRequest {
-  std::shared_ptr<const GnnModel> model;
-  std::shared_ptr<const Dataset> dataset;
+  Signed<GnnModel> model;
+  Signed<Dataset> dataset;
   EngineOptions options;
   /// Relative deadline in milliseconds, measured from submit(). 0 = use
   /// ServiceOptions::default_deadline_ms (which may itself be 0 = none);
@@ -142,6 +143,13 @@ struct ServiceRequest {
   /// Take ownership of the inputs (moves them onto the heap).
   static ServiceRequest own(GnnModel model, Dataset dataset,
                             EngineOptions options = {});
+
+  /// The compilation-cache key of this request: the handles' signatures
+  /// (each input hashed once per object) plus config_signature.
+  CompileKey compile_key() const {
+    return CompileKey{model.signature(), dataset.signature(),
+                      config_signature(options.config)};
+  }
 };
 
 enum class RequestState { kQueued, kRunning, kDone, kFailed };
@@ -380,9 +388,12 @@ class InferenceService {
   bool cancel(RequestId id);
 
   /// Block until the request completes, then consume its slot: returns the
-  /// report (optionally the timing), or rethrows the request's exception.
-  /// Each id can be waited on exactly once.
-  InferenceReport wait(RequestId id, RequestTiming* timing = nullptr);
+  /// report (optionally the timing, and the report's
+  /// deterministic_fingerprint(), which the worker computed once), or
+  /// rethrows the request's exception. Each id can be waited on exactly
+  /// once.
+  InferenceReport wait(RequestId id, RequestTiming* timing = nullptr,
+                       std::uint64_t* fingerprint = nullptr);
 
   /// Submit all, wait all; reports come back in request order. If any
   /// request failed, every other request still completes, then the first
@@ -391,7 +402,8 @@ class InferenceService {
 
   /// Execute one request synchronously on the calling thread through the
   /// shared cache + execution path (no queue, no workers), then settle
-  /// the memory budget as a worker does after each request.
+  /// the memory budget as a worker does after each request. The inputs
+  /// are bare references, so every call hashes them (make_compile_key).
   InferenceReport run_one(const GnnModel& model, const Dataset& ds,
                           const EngineOptions& options = {});
 
@@ -445,6 +457,7 @@ class InferenceService {
   struct Slot {
     RequestState state = RequestState::kQueued;
     InferenceReport report;
+    std::uint64_t fingerprint = 0;  // report.deterministic_fingerprint()
     std::exception_ptr error;
     std::chrono::steady_clock::time_point submitted, started, finished;
     /// Per-request abort handle: cancel()/shutdown() fire it; its token
@@ -465,18 +478,22 @@ class InferenceService {
   /// is published.
   void process_batch(std::vector<Job>& jobs);
   /// The service's one execution path, for a queued member and run_one
-  /// alike: token check, key hashing, result-cache claim, compile,
-  /// RuntimeSystem::execute and report assembly, under one intra-op
-  /// scope. Throws the raw (unclassified) error.
-  InferenceReport run_request(const GnnModel& model, const Dataset& ds,
-                              const EngineOptions& options,
-                              const CancellationToken& token);
+  /// alike: token check, result-cache claim, compile,
+  /// RuntimeSystem::execute and report assembly under `key`, in one
+  /// intra-op scope. `fingerprint`, when given, receives the report's
+  /// deterministic_fingerprint() (a memo hit reads the stored one).
+  /// Throws the raw (unclassified) error.
+  InferenceReport run_request(const CompileKey& key, const GnnModel& model,
+                              const Dataset& ds, const EngineOptions& options,
+                              const CancellationToken& token,
+                              std::uint64_t* fingerprint = nullptr);
   /// Terminal-state publication of one member outcome: classify `raw`
   /// into the wait() error taxonomy (or discard a completed-but-cancelled
   /// result), update the slot + robustness stats under slots_mu_, wake
   /// waiters.
   void publish_result(RequestId id, InferenceReport&& report,
-                      std::exception_ptr raw, const CancellationToken& token);
+                      std::uint64_t fingerprint, std::exception_ptr raw,
+                      const CancellationToken& token);
   /// Create a kQueued slot under slots_mu_ (throws ShutdownError
   /// when shutting down and `throw_on_closed`; returns 0 otherwise) and
   /// bump inflight_submits_. `deadline_ms` is the request's effective

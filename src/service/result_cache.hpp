@@ -14,6 +14,8 @@
 // MemoryBudget tier, by the budget's limit on approximate resident bytes
 // (InferenceReport::approx_footprint_bytes — reports carry the full
 // functional output matrix, so bytes are what actually cost memory).
+// Each entry keeps its report's deterministic fingerprint, computed once
+// by the fill, so a hit hands it out without rehashing the output.
 // The cache mechanics (in-flight dedup, poisoned-entry erase on a
 // throwing run, never evicting a report a caller still holds, the
 // budget's eviction hook) live in the shared util/keyed_future_cache.hpp
@@ -43,7 +45,7 @@ class ResultCache {
   explicit ResultCache(std::size_t max_entries = 0,
                        std::shared_ptr<MemoryBudget::Tier> tier = nullptr)
       : impl_(max_entries,
-              [](const InferenceReport& r) { return r.approx_footprint_bytes(); },
+              [](const Memoized& m) { return m.report.approx_footprint_bytes(); },
               std::move(tier), LockRank::kResultCache) {}
 
   bool enabled() const { return impl_.max_entries() > 0; }
@@ -53,18 +55,30 @@ class ResultCache {
   /// whatever `run` throws. Returns by value because the service's public
   /// API (wait/run_batch/run_one) hands out owned reports: a hit costs
   /// one report copy — still orders of magnitude cheaper than the
-  /// compile + execute it replaces.
+  /// compile + execute it replaces. The fill also computes the report's
+  /// deterministic_fingerprint() once and keeps it beside the report;
+  /// `fingerprint`, when given, receives it, so a hit never rehashes the
+  /// output.
   InferenceReport get_or_run(const ResultKey& key,
-                             const std::function<InferenceReport()>& run) {
-    return *impl_.get_or_make(key, [&] {
-      return std::make_shared<const InferenceReport>(run());
+                             const std::function<InferenceReport()>& run,
+                             std::uint64_t* fingerprint = nullptr) {
+    const std::shared_ptr<const Memoized> m = impl_.get_or_make(key, [&] {
+      InferenceReport report = run();
+      const std::uint64_t fp = report.deterministic_fingerprint();
+      return std::make_shared<const Memoized>(Memoized{std::move(report), fp});
     });
+    if (fingerprint) *fingerprint = m->fingerprint;
+    return m->report;
   }
 
   ResultCacheStats stats() const { return impl_.stats(); }
 
  private:
-  KeyedFutureCache<ResultKey, InferenceReport> impl_;
+  struct Memoized {
+    InferenceReport report;
+    std::uint64_t fingerprint = 0;  // report.deterministic_fingerprint()
+  };
+  KeyedFutureCache<ResultKey, Memoized> impl_;
 };
 
 }  // namespace dynasparse

@@ -213,10 +213,12 @@ TEST(BatchServiceFusion, FusedReportsAreBitIdenticalToSoloAcrossSweep) {
       std::vector<RequestId> ids;
       for (ServiceRequest& r : reqs) ids.push_back(svc.submit(std::move(r)));
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        InferenceReport rep = svc.wait(ids[i]);
+        std::uint64_t handed_out = 0;
+        InferenceReport rep = svc.wait(ids[i], nullptr, &handed_out);
         EXPECT_EQ(rep.deterministic_fingerprint(), expected[i])
             << "kind=" << static_cast<int>(kind) << " k=" << k
             << " member=" << i;
+        EXPECT_EQ(handed_out, rep.deterministic_fingerprint()) << "member=" << i;
       }
       const BatchStats bs = svc.batch_stats();
       EXPECT_EQ(bs.batched_requests, static_cast<std::int64_t>(k));

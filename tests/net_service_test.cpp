@@ -4,6 +4,8 @@
 //   - N concurrent clients observe bit-identical deterministic
 //     fingerprints to a direct InferenceService::run_batch of the same
 //     specs — the wire adds transport, never changes results;
+//   - with memoization on, a miss and its hits all carry the fingerprint
+//     of a service-free compile + run_compiled of the spec;
 //   - an abrupt client disconnect mid-request drives
 //     InferenceService::cancel: RobustnessStats.cancelled advances and
 //     every slot is still consumed (server stop + service shutdown
@@ -171,6 +173,40 @@ TEST(NetService, ConcurrentClientsMatchDirectRunBatchBitForBit) {
   EXPECT_EQ(ns.protocol_errors, 0);
   server.stop();
   testing::expect_counters_add_up(service, ns.results);
+}
+
+TEST(NetService, MemoHitFingerprintMatchesGroundTruth) {
+  // Ground truth without the service: compile + run_compiled of the spec,
+  // with the dataset tag stamped as the service stamps it.
+  const StreamRequestSpec spec = spec_of("CI", GnnModelKind::kGcn, 2023);
+  std::uint64_t expected = 0;
+  {
+    const ServiceRequest req = materialize_request(spec);
+    const CompiledProgram prog =
+        compile(*req.model, *req.dataset, req.options.config);
+    InferenceReport rep = run_compiled(prog, req.options.runtime);
+    rep.dataset_tag = req.dataset->spec.tag;
+    expected = rep.deterministic_fingerprint();
+  }
+
+  ServiceOptions opts;
+  opts.result_cache_capacity = 4;
+  InferenceService service(opts);
+  NetServer server(service);
+  server.start();
+  NetClient client("127.0.0.1", server.port(), kClientTimeoutMs);
+  // One at a time: the first is the memo miss, the other two are hits
+  // whose RESULT carries the fingerprint the miss stored.
+  for (int i = 0; i < 3; ++i) {
+    NetClient::Outcome out = client.await(client.submit(spec));
+    ASSERT_TRUE(out.ok) << out.error.message;
+    EXPECT_EQ(out.result.fingerprint, expected) << "request " << i;
+  }
+  const ResultCacheStats rcs = service.result_cache_stats();
+  EXPECT_EQ(rcs.misses, 1);
+  EXPECT_EQ(rcs.hits, 2);
+  server.stop();
+  testing::expect_counters_add_up(service, 3);
 }
 
 TEST(NetService, DisconnectMidRequestCancelsInFlightAndLeaksNoSlot) {

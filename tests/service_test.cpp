@@ -1,7 +1,8 @@
 // InferenceService tests: batched results bit-identical to sequential
 // runs, compilation-cache accounting (hits, in-flight dedup, LRU
 // eviction that never drops a held program), failure isolation,
-// race-freedom under concurrent submitters, result memoization
+// race-freedom under concurrent submitters, signed input handles (one
+// shared signature per input, raced first use), result memoization
 // (ResultKey sensitivity, hits that skip execution, LRU by count and by
 // the memory budget's bytes), the default budget limit, and bounded
 // admission control (reject fail-fast, try_submit, shed-oldest). The concurrency tests
@@ -224,9 +225,11 @@ TEST(ServiceTest, ConcurrentSubmittersAreRaceFree) {
         bool use_a = (t + i) % 2 == 0;
         RequestId id = service.submit(use_a ? a : b);
         while (!service.done(id)) std::this_thread::yield();
-        InferenceReport rep = service.wait(id);
+        std::uint64_t handed_out = 0;
+        InferenceReport rep = service.wait(id, nullptr, &handed_out);
         fingerprints[static_cast<std::size_t>(t * kPerThread + i)] =
             rep.deterministic_fingerprint();
+        EXPECT_EQ(handed_out, rep.deterministic_fingerprint());
       }
     });
   }
@@ -339,6 +342,47 @@ TEST(ServiceTest, SignatureSensitivity) {
   EXPECT_NE(key.config, config_signature(cfg));
 }
 
+TEST(ServiceTest, SignedHandlesHashOnceAndShareTheSignature) {
+  // Ground truth: a handle's signature is the full-content hash of the
+  // value it holds, and a request's compile key is make_compile_key's.
+  const ServiceRequest req = make_request(92, GnnModelKind::kGcn);
+  EXPECT_EQ(req.model.signature(), model_signature(*req.model));
+  EXPECT_EQ(req.dataset.signature(), dataset_signature(*req.dataset));
+  EXPECT_EQ(req.compile_key(),
+            make_compile_key(*req.model, *req.dataset, req.options.config));
+
+  // A copy shares the value and its signature.
+  const Signed<Dataset> copy = req.dataset;
+  EXPECT_EQ(&*copy, &*req.dataset);
+  EXPECT_EQ(copy.signature(), req.dataset.signature());
+
+  // Eight threads race the first signature() call of one cold handle, each
+  // through its own copy: every one reads the full-content hash.
+  const ServiceRequest cold = make_request(93, GnnModelKind::kSage);
+  const std::uint64_t expected = model_signature(*cold.model);
+  std::vector<std::uint64_t> seen(8, 0);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> racers;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    racers.emplace_back([&seen, &go, t, handle = cold.model] {
+      while (!go.load()) std::this_thread::yield();
+      seen[t] = handle.signature();
+    });
+  go = true;
+  for (std::thread& t : racers) t.join();
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    EXPECT_EQ(seen[t], expected) << "thread " << t;
+
+  // A default handle is null, and a request without inputs is refused.
+  const ServiceRequest empty;
+  EXPECT_FALSE(empty.model);
+  EXPECT_FALSE(empty.dataset);
+  ServiceOptions opts;
+  opts.workers = 1;
+  InferenceService service(opts);
+  EXPECT_THROW(service.submit(empty), std::invalid_argument);
+}
+
 TEST(ServiceTest, RuntimeOptionsSignatureFlipsOnEveryField) {
   // Property: flipping any single RuntimeOptions field changes
   // runtime_options_signature — the keep-in-sync discipline that makes a
@@ -406,9 +450,14 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   // deterministic fingerprint is bit-identical to the cold run.
   ServiceRequest first = make_request(101, GnnModelKind::kGcn);
   ServiceRequest repeat = make_request(101, GnnModelKind::kGcn);
-  InferenceReport cold = service.wait(service.submit(first));
-  InferenceReport memo = service.wait(service.submit(repeat));
+  std::uint64_t cold_fp = 0, memo_fp = 0;
+  InferenceReport cold = service.wait(service.submit(first), nullptr, &cold_fp);
+  InferenceReport memo = service.wait(service.submit(repeat), nullptr, &memo_fp);
   EXPECT_EQ(memo.deterministic_fingerprint(), cold.deterministic_fingerprint());
+  // wait() hands out the fingerprint the fill computed, on the miss and
+  // on the hit alike.
+  EXPECT_EQ(cold_fp, cold.deterministic_fingerprint());
+  EXPECT_EQ(memo_fp, memo.deterministic_fingerprint());
 
   ResultCacheStats rcs = service.result_cache_stats();
   EXPECT_EQ(rcs.misses, 1);

@@ -288,9 +288,8 @@ int main(int argc, char** argv) {
 
   if (warm) {
     for (const ServiceRequest& req : pool)
-      service.cache().get_or_compile(
-          make_compile_key(*req.model, *req.dataset, req.options.config),
-          *req.model, *req.dataset, req.options.config);
+      service.cache().get_or_compile(req.compile_key(), *req.model,
+                                     *req.dataset, req.options.config);
     std::printf("warmed cache: %lld programs compiled\n",
                 static_cast<long long>(service.cache_stats().entries));
   }
