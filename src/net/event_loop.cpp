@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,7 +64,7 @@ void EventLoop::set_interest(int fd, std::uint32_t interest) {
 
 void EventLoop::remove(int fd) { fds_.erase(fd); }
 
-int EventLoop::poll_once(int timeout_ms) {
+int EventLoop::poll_once(std::chrono::nanoseconds timeout) {
   std::vector<pollfd> pfds;
   pfds.reserve(fds_.size() + 1);
   pfds.push_back(pollfd{wake_rd_.get(), POLLIN, 0});
@@ -75,7 +76,13 @@ int EventLoop::poll_once(int timeout_ms) {
     // POLLERR/POLLHUP (always reported) reaches their callback.
     pfds.push_back(pollfd{fd, events, 0});
   }
-  int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  // ppoll: poll(2) counts whole milliseconds, too coarse for the
+  // server's completion tick.
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout.count() / 1000000000);
+  ts.tv_nsec = static_cast<long>(timeout.count() % 1000000000);
+  int n = ::ppoll(pfds.data(), pfds.size(), timeout.count() < 0 ? nullptr : &ts,
+                  nullptr);
   if (n < 0) {
     if (errno == EINTR) return 0;  // signal; caller re-evaluates and retries
     throw_errno("poll");

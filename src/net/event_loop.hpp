@@ -11,10 +11,12 @@
 // the poll() dispatch; timers, accept logic, and per-connection protocol
 // state live in the caller (net/server.cpp), which chooses the poll
 // timeout per iteration based on what it is waiting for (in-flight
-// service completions: short tick; idle: long tick). Callbacks may add
-// or remove fds — including their own — during dispatch; removal is
-// checked again per ready fd before its callback is invoked.
+// service completions: the rest of a sub-millisecond tick; idle: a long
+// one). Callbacks may add or remove fds — including their own — during
+// dispatch; removal is checked again per ready fd before its callback is
+// invoked.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -81,10 +83,11 @@ class EventLoop {
   bool contains(int fd) const { return fds_.count(fd) != 0; }
   std::size_t size() const { return fds_.size(); }
 
-  /// One poll + dispatch round. timeout_ms < 0 blocks until an event (or
-  /// a wake()); 0 polls without blocking. Returns the number of fds that
-  /// had events dispatched (0 on timeout or bare wake). Not re-entrant.
-  int poll_once(int timeout_ms);
+  /// One poll + dispatch round. A negative timeout blocks until an event
+  /// (or a wake()); 0 polls without blocking. Returns the number of fds
+  /// that had events dispatched (0 on timeout or bare wake). Not
+  /// re-entrant.
+  int poll_once(std::chrono::nanoseconds timeout);
 
   /// Interrupt a blocking poll_once from any thread. Coalesces: many
   /// wakes cost one pipe byte until the loop drains it.

@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -19,9 +20,9 @@ namespace dynasparse {
 namespace {
 
 constexpr int kListenBacklog = 64;
-/// Poll tick while requests are in flight: bounds the added completion
-/// -> RESULT latency.
-constexpr int kCompletionPollMs = 1;
+/// Completion tick while requests are in flight: bounds the added
+/// completion -> RESULT latency.
+constexpr std::chrono::milliseconds kCompletionTick{1};
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetSetupError(what + ": " + std::strerror(errno));
@@ -119,19 +120,31 @@ void NetServer::bump(std::int64_t NetServerStats::*field) {
   ++(stats_.*field);
 }
 
-int NetServer::poll_timeout_ms() const {
-  if (!pending_.empty()) return kCompletionPollMs;
+std::chrono::nanoseconds NetServer::poll_timeout(Clock::time_point now) const {
+  if (!pending_.empty())
+    return std::max(Clock::duration::zero(), next_tick_ - now);
   for (const auto& [id, conn] : conns_) {
     (void)id;
-    if (conn->has_partial_frame()) return 20;  // slow-loris watch
+    // slow-loris watch
+    if (conn->has_partial_frame()) return std::chrono::milliseconds(20);
   }
-  return 200;
+  return std::chrono::milliseconds(200);
 }
 
 void NetServer::loop_main() {
+  // Completions are collected on a fixed grid of ticks, not after every
+  // socket event: one scan of pending_ (a slots_mu_ lock per request) per
+  // tick, and a RESULT leaves at the first tick after its request
+  // finished, however the frames around it arrive.
+  next_tick_ = Clock::now() + kCompletionTick;
   while (running_.load(std::memory_order_acquire)) {
-    loop_.poll_once(poll_timeout_ms());
-    finalize_completions();
+    loop_.poll_once(poll_timeout(Clock::now()));
+    const Clock::time_point now = Clock::now();
+    if (now >= next_tick_) {
+      finalize_completions();
+      const auto missed = (now - next_tick_) / kCompletionTick;
+      next_tick_ += (missed + 1) * kCompletionTick;
+    }
     check_frame_timeouts();
     reap_connections();
     for (auto& [id, conn] : conns_) {
@@ -417,10 +430,11 @@ void NetServer::finalize_completions() {
     std::vector<std::uint8_t> response;
     try {
       // The worker fingerprinted the report once (a memo hit reads the
-      // stored value), so this thread never hashes the output.
+      // stored value), so this thread never hashes the output, and a memo
+      // hit's report is the result cache's own, read here without a copy.
       WireResult result;
-      const InferenceReport rep = service_.wait(rid, nullptr, &result.fingerprint);
-      result.sim_latency_ms = rep.latency_ms;
+      result.sim_latency_ms =
+          service_.wait_shared(rid, nullptr, &result.fingerprint)->latency_ms;
       result.server_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - p.submitted)
                              .count();

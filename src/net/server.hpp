@@ -125,7 +125,10 @@ class NetServer {
   void reap_connections();
   void refresh_interest(Connection& conn);
   ServiceRequest materialize_cached(const StreamRequestSpec& spec);
-  int poll_timeout_ms() const;
+  using Clock = std::chrono::steady_clock;
+  /// Until the next completion tick while requests are in flight, else
+  /// the slow-loris watch or the idle wait.
+  std::chrono::nanoseconds poll_timeout(Clock::time_point now) const;
   void bump(std::int64_t NetServerStats::*field);
 
   InferenceService& service_;
@@ -148,6 +151,9 @@ class NetServer {
   std::map<RequestId, Pending> pending_;
   std::unordered_map<std::uint64_t, std::unordered_map<std::uint64_t, RequestId>>
       corr_index_;
+  /// The next completion tick, on a grid of kCompletionTick (server.cpp)
+  /// from the loop's start.
+  Clock::time_point next_tick_;
   /// Deterministic materialization memo (spec line minus deadline ->
   /// request): repeat-heavy streams regenerate each unique content once.
   std::unordered_map<std::string, ServiceRequest> materialized_;

@@ -266,7 +266,7 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
       }
     }
     const ServiceRequest& req = job.request;
-    InferenceReport report;
+    ReportRef report;
     std::uint64_t fingerprint = 0;
     std::exception_ptr error;
     try {
@@ -284,12 +284,10 @@ void InferenceService::process_batch(std::vector<Job>& jobs) {
   }
 }
 
-InferenceReport InferenceService::run_request(const CompileKey& key,
-                                              const GnnModel& model,
-                                              const Dataset& ds,
-                                              const EngineOptions& options,
-                                              const CancellationToken& token,
-                                              std::uint64_t* fingerprint) {
+InferenceService::ReportRef InferenceService::run_request(
+    const CompileKey& key, const GnnModel& model, const Dataset& ds,
+    const EngineOptions& options, const CancellationToken& token,
+    std::uint64_t* fingerprint) {
   // One intra-op scope per request: the service-wide cap combined with the
   // request's own host_threads (thread counts never change results). It
   // covers compilation too — the partition planner's parallel loops take
@@ -311,18 +309,24 @@ InferenceReport InferenceService::run_request(const CompileKey& key,
   if (!result_cache_.enabled()) {
     InferenceReport report = run();
     if (fingerprint) *fingerprint = report.deterministic_fingerprint();
-    return report;
+    return ReportRef(std::move(report));
   }
   // Equal ResultKeys imply bit-identical deterministic report fields
   // (determinism contract), so a hit is served without compiling or
-  // executing. The fill runs under this request's token: if it aborts,
-  // same-key requests joined on other threads retry under their own
-  // tokens (ResultCache::get_or_run's in-flight dedup and hand-off).
-  return result_cache_.get_or_run(make_result_key(key, options.runtime), run,
-                                  fingerprint);
+  // executing, and is shared rather than copied. The fill runs under this
+  // request's token: if it aborts, same-key requests joined on other
+  // threads retry under their own tokens (ResultCache's in-flight dedup
+  // and hand-off).
+  return result_cache_.get_or_run_shared(make_result_key(key, options.runtime),
+                                         run, fingerprint);
 }
 
-void InferenceService::publish_result(RequestId id, InferenceReport&& report,
+InferenceReport InferenceService::owned(ReportRef&& report) {
+  if (auto* own = std::get_if<InferenceReport>(&report)) return std::move(*own);
+  return *std::get<std::shared_ptr<const InferenceReport>>(report);
+}
+
+void InferenceService::publish_result(RequestId id, ReportRef&& report,
                                       std::uint64_t fingerprint,
                                       std::exception_ptr raw,
                                       const CancellationToken& token) {
@@ -678,6 +682,20 @@ bool InferenceService::done(RequestId id) const {
 
 InferenceReport InferenceService::wait(RequestId id, RequestTiming* timing,
                                        std::uint64_t* fingerprint) {
+  return owned(take(id, timing, fingerprint));
+}
+
+std::shared_ptr<const InferenceReport> InferenceService::wait_shared(
+    RequestId id, RequestTiming* timing, std::uint64_t* fingerprint) {
+  ReportRef report = take(id, timing, fingerprint);
+  if (auto* own = std::get_if<InferenceReport>(&report))
+    return std::make_shared<const InferenceReport>(std::move(*own));
+  return std::get<std::shared_ptr<const InferenceReport>>(std::move(report));
+}
+
+InferenceService::ReportRef InferenceService::take(RequestId id,
+                                                   RequestTiming* timing,
+                                                   std::uint64_t* fingerprint) {
   std::unique_lock<OrderedMutex> lk(slots_mu_);
   if (slots_.find(id) == slots_.end())
     throw std::invalid_argument("unknown request id");
@@ -750,8 +768,8 @@ std::vector<InferenceReport> InferenceService::run_batch(
 InferenceReport InferenceService::run_one(const GnnModel& model, const Dataset& ds,
                                           const EngineOptions& options) {
   InferenceReport report =
-      run_request(make_compile_key(model, ds, options.config), model, ds,
-                  options, {});
+      owned(run_request(make_compile_key(model, ds, options.config), model, ds,
+                        options, {}));
   budget_->rebalance();  // as process_batch does after each member
   return report;
 }

@@ -42,7 +42,9 @@
 // matches a cached entry returns the stored InferenceReport without
 // executing; deterministic report fields are bit-identical to a fresh
 // run by the determinism contract the golden/property tests enforce.
-// Off by default.
+// The worker never copies a hit: the slot shares the cache's report,
+// wait() copies it out, wait_shared() hands it out as is. Off by
+// default.
 //
 // Continuous batching (ServiceOptions::batch_window_us /
 // max_batch_size): workers dequeue through a BatchScheduler
@@ -111,6 +113,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -391,9 +394,15 @@ class InferenceService {
   /// report (optionally the timing, and the report's
   /// deterministic_fingerprint(), which the worker computed once), or
   /// rethrows the request's exception. Each id can be waited on exactly
-  /// once.
+  /// once. A memo hit's report is copied out of the result cache here.
   InferenceReport wait(RequestId id, RequestTiming* timing = nullptr,
                        std::uint64_t* fingerprint = nullptr);
+
+  /// wait(), but the report comes back shared and read-only: a memo hit
+  /// hands out the result cache's entry itself, so nothing is copied.
+  std::shared_ptr<const InferenceReport> wait_shared(
+      RequestId id, RequestTiming* timing = nullptr,
+      std::uint64_t* fingerprint = nullptr);
 
   /// Submit all, wait all; reports come back in request order. If any
   /// request failed, every other request still completes, then the first
@@ -454,9 +463,13 @@ class InferenceService {
     RequestId id = 0;
     ServiceRequest request;
   };
+  /// A member's report as run_request leaves it: owned (memo off), or
+  /// the result cache's entry, shared so the worker never copies a hit.
+  using ReportRef =
+      std::variant<InferenceReport, std::shared_ptr<const InferenceReport>>;
   struct Slot {
     RequestState state = RequestState::kQueued;
-    InferenceReport report;
+    ReportRef report;
     std::uint64_t fingerprint = 0;  // report.deterministic_fingerprint()
     std::exception_ptr error;
     std::chrono::steady_clock::time_point submitted, started, finished;
@@ -483,15 +496,21 @@ class InferenceService {
   /// intra-op scope. `fingerprint`, when given, receives the report's
   /// deterministic_fingerprint() (a memo hit reads the stored one).
   /// Throws the raw (unclassified) error.
-  InferenceReport run_request(const CompileKey& key, const GnnModel& model,
-                              const Dataset& ds, const EngineOptions& options,
-                              const CancellationToken& token,
-                              std::uint64_t* fingerprint = nullptr);
+  ReportRef run_request(const CompileKey& key, const GnnModel& model,
+                        const Dataset& ds, const EngineOptions& options,
+                        const CancellationToken& token,
+                        std::uint64_t* fingerprint = nullptr);
+  /// An owned report: moved out, or copied when shared with the cache.
+  static InferenceReport owned(ReportRef&& report);
+  /// wait() and wait_shared() up to the report: block, consume the slot,
+  /// fill `timing` and `fingerprint`, rethrow the request's error.
+  ReportRef take(RequestId id, RequestTiming* timing,
+                 std::uint64_t* fingerprint);
   /// Terminal-state publication of one member outcome: classify `raw`
   /// into the wait() error taxonomy (or discard a completed-but-cancelled
   /// result), update the slot + robustness stats under slots_mu_, wake
   /// waiters.
-  void publish_result(RequestId id, InferenceReport&& report,
+  void publish_result(RequestId id, ReportRef&& report,
                       std::uint64_t fingerprint, std::exception_ptr raw,
                       const CancellationToken& token);
   /// Create a kQueued slot under slots_mu_ (throws ShutdownError

@@ -52,23 +52,30 @@ class ResultCache {
 
   /// Return the memoized report for `key`, running `run` at most once per
   /// key. May block while another thread runs the same key. Throws
-  /// whatever `run` throws. Returns by value because the service's public
-  /// API (wait/run_batch/run_one) hands out owned reports: a hit costs
-  /// one report copy — still orders of magnitude cheaper than the
-  /// compile + execute it replaces. The fill also computes the report's
-  /// deterministic_fingerprint() once and keeps it beside the report;
-  /// `fingerprint`, when given, receives it, so a hit never rehashes the
-  /// output.
-  InferenceReport get_or_run(const ResultKey& key,
-                             const std::function<InferenceReport()>& run,
-                             std::uint64_t* fingerprint = nullptr) {
-    const std::shared_ptr<const Memoized> m = impl_.get_or_make(key, [&] {
+  /// whatever `run` throws. The report is the entry itself, shared and
+  /// read-only — no copy; holding it pins the entry against eviction.
+  /// The fill also computes the report's deterministic_fingerprint() once
+  /// and keeps it beside the report; `fingerprint`, when given, receives
+  /// it, so a hit never rehashes the output.
+  std::shared_ptr<const InferenceReport> get_or_run_shared(
+      const ResultKey& key, const std::function<InferenceReport()>& run,
+      std::uint64_t* fingerprint = nullptr) {
+    std::shared_ptr<const Memoized> m = impl_.get_or_make(key, [&] {
       InferenceReport report = run();
       const std::uint64_t fp = report.deterministic_fingerprint();
       return std::make_shared<const Memoized>(Memoized{std::move(report), fp});
     });
     if (fingerprint) *fingerprint = m->fingerprint;
-    return m->report;
+    const InferenceReport* report = &m->report;
+    return std::shared_ptr<const InferenceReport>(std::move(m), report);
+  }
+
+  /// get_or_run_shared, then one copy of the report, for callers that
+  /// need an owned one.
+  InferenceReport get_or_run(const ResultKey& key,
+                             const std::function<InferenceReport()>& run,
+                             std::uint64_t* fingerprint = nullptr) {
+    return *get_or_run_shared(key, run, fingerprint);
   }
 
   ResultCacheStats stats() const { return impl_.stats(); }

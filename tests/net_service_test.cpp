@@ -180,6 +180,7 @@ TEST(NetService, MemoHitFingerprintMatchesGroundTruth) {
   // with the dataset tag stamped as the service stamps it.
   const StreamRequestSpec spec = spec_of("CI", GnnModelKind::kGcn, 2023);
   std::uint64_t expected = 0;
+  double expected_latency_ms = 0.0;
   {
     const ServiceRequest req = materialize_request(spec);
     const CompiledProgram prog =
@@ -187,6 +188,7 @@ TEST(NetService, MemoHitFingerprintMatchesGroundTruth) {
     InferenceReport rep = run_compiled(prog, req.options.runtime);
     rep.dataset_tag = req.dataset->spec.tag;
     expected = rep.deterministic_fingerprint();
+    expected_latency_ms = rep.latency_ms;
   }
 
   ServiceOptions opts;
@@ -201,6 +203,8 @@ TEST(NetService, MemoHitFingerprintMatchesGroundTruth) {
     NetClient::Outcome out = client.await(client.submit(spec));
     ASSERT_TRUE(out.ok) << out.error.message;
     EXPECT_EQ(out.result.fingerprint, expected) << "request " << i;
+    EXPECT_EQ(out.result.sim_latency_ms, expected_latency_ms)
+        << "request " << i;
   }
   const ResultCacheStats rcs = service.result_cache_stats();
   EXPECT_EQ(rcs.misses, 1);

@@ -464,9 +464,28 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   EXPECT_EQ(rcs.hits, 1);
   EXPECT_EQ(rcs.entries, 1);
   EXPECT_GT(rcs.bytes, 0);
+  EXPECT_EQ(rcs.shared_refs, 0);
   // The repeat never reached the compilation cache.
   EXPECT_EQ(service.cache_stats().misses, 1);
   EXPECT_EQ(service.cache_stats().hits, 0);
+
+  // wait_shared() hands out a hit without copying it: two hits read the
+  // one report the cache holds, which their handles pin until released.
+  std::uint64_t shared_fp = 0;
+  std::shared_ptr<const InferenceReport> a = service.wait_shared(
+      service.submit(make_request(101, GnnModelKind::kGcn)), nullptr,
+      &shared_fp);
+  std::shared_ptr<const InferenceReport> b = service.wait_shared(
+      service.submit(make_request(101, GnnModelKind::kGcn)));
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(shared_fp, cold.deterministic_fingerprint());
+  EXPECT_EQ(a->deterministic_fingerprint(), cold.deterministic_fingerprint());
+  EXPECT_EQ(service.result_cache_stats().shared_refs, 2);
+  a.reset();
+  b.reset();
+  rcs = service.result_cache_stats();
+  EXPECT_EQ(rcs.hits, 3);
+  EXPECT_EQ(rcs.shared_refs, 0);
 
   // Different runtime options over the same compile content: result-cache
   // miss (new ResultKey) but compilation-cache hit (same CompileKey).
@@ -477,7 +496,7 @@ TEST(ServiceTest, MemoizedRepeatSkipsExecutionAndIsBitIdentical) {
   EXPECT_EQ(rcs.misses, 2);
   EXPECT_EQ(rcs.entries, 2);
   EXPECT_EQ(service.cache_stats().hits, 1);
-  testing::expect_counters_add_up(service, 3);
+  testing::expect_counters_add_up(service, 5);
 }
 
 TEST(ServiceTest, DefaultBudgetResolvesToAFixedLimit) {
